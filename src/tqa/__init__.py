@@ -15,7 +15,7 @@ from .backend import (
     FixtureStore,
     QABackend,
     answer_complex_question,
-    backend_answer,
+    answer_decomposed,
     load_fixtures,
     shipped_fixtures,
     write_fixtures,
@@ -51,8 +51,6 @@ from .evaluation import (
 )
 from .packs import (
     LanguagePack,
-    builtin_english,
-    builtin_spanish,
     get_pack,
     load_pack,
     serialize_pack,

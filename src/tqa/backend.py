@@ -9,15 +9,14 @@ QA service so that end-to-end behavior is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol
 from xml.etree import ElementTree as ET
 
 from .decomposition import DecomposedQuestion, decompose
-from .errors import SchemaViolation, UnsplittableQuestion
-from .packs import LanguagePack
+from .errors import SchemaViolation, UnsplittableQuestion, read_xml
+from .packs import DATA_DIR, LanguagePack
 from .recomposition import ComplexAnswer, DatedAnswer, recompose
-from .tagger import ReferenceDate, TemporalExpressionTag
+from .tagger import ReferenceDate
 from .textnorm import normalize_key
 from .time_model import parse_value
 
@@ -66,11 +65,6 @@ class FixtureStore:
         return list(self.entries.get(key, ()))
 
 
-def backend_answer(query: BackendQuery, store: FixtureStore) -> list[DatedAnswer]:
-    """Exact-key fixture lookup; an unknown question yields no answers."""
-    return store.answer(query)
-
-
 def _parse_answer(el: ET.Element, key: str) -> DatedAnswer:
     try:
         rank = int(el.get("rank", ""))
@@ -83,10 +77,7 @@ def _parse_answer(el: ET.Element, key: str) -> DatedAnswer:
 
 def load_fixtures(source, strict_keys: bool = False) -> FixtureStore:
     """Load a fixture file: FIXTURES[@ref,@lang] containing FQ[@key]/A rows."""
-    if isinstance(source, bytes):
-        root = ET.fromstring(source)
-    else:
-        root = ET.parse(source).getroot()
+    root = read_xml(source, SchemaViolation)
     if root.tag != "FIXTURES":
         raise SchemaViolation(f"root element {root.tag!r}, expected FIXTURES")
     ref_text = root.get("ref", "")
@@ -125,7 +116,7 @@ def write_fixtures(store: FixtureStore) -> bytes:
 
 def shipped_fixtures(language: str) -> FixtureStore:
     """Fixture store bundled with the package for the given language."""
-    path = Path(__file__).parent / "data" / f"fixtures_{language}.xml"
+    path = DATA_DIR / f"fixtures_{language}.xml"
     if not path.is_file():
         raise SchemaViolation(f"no shipped fixtures for language {language!r}")
     return load_fixtures(path)
@@ -133,31 +124,30 @@ def shipped_fixtures(language: str) -> FixtureStore:
 
 def answer_complex_question(question: str, pack: LanguagePack,
                             ref: ReferenceDate, backend: QABackend,
-                            tes: list[TemporalExpressionTag] | None = None,
                             ) -> ComplexAnswer:
     """Decompose, query the backend, recompose.  Never raises for content
     problems: failures surface as diagnostics with an empty answer list."""
     try:
-        analysis = decompose(question, pack, ref, tes=tes)
+        analysis = decompose(question, pack, ref)
     except UnsplittableQuestion:
         return ComplexAnswer((), None, None, (UNSPLITTABLE,))
+    return answer_decomposed(analysis, pack.code, backend)
 
+
+def answer_decomposed(analysis: DecomposedQuestion, language: str,
+                      backend: QABackend) -> ComplexAnswer:
+    """Query the backend with a decomposed question's sub-questions (or the
+    question itself, for types 1 and 2) and recompose the answers."""
     constraints = [t.interval for t in analysis.tes if t.interval is not None]
     if analysis.qtype in (1, 2):
-        focus = backend.answer(BackendQuery(question, pack.code))
+        focus = backend.answer(BackendQuery(analysis.original, language))
         result = recompose(focus, [], None, constraints)
     else:
-        focus = backend.answer(BackendQuery(analysis.q_focus, pack.code))
+        focus = backend.answer(BackendQuery(analysis.q_focus, language))
         restriction = backend.answer(
-            BackendQuery(analysis.q_restriction, pack.code))
+            BackendQuery(analysis.q_restriction, language))
         result = recompose(focus, restriction, analysis.signal.key,
                            constraints)
     diagnostics = analysis.diagnostics + result.diagnostics
     return ComplexAnswer(result.answers, result.restriction_answer,
                          result.applied_key, diagnostics)
-
-
-def decompose_question(question: str, pack: LanguagePack, ref: ReferenceDate,
-                       tes=None) -> DecomposedQuestion:
-    """Convenience re-export used by the CLI and evaluation harness."""
-    return decompose(question, pack, ref, tes=tes)

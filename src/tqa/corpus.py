@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 from xml.etree import ElementTree as ET
 
 from .decomposition import DecomposedQuestion
-from .errors import MalformedValue, SchemaViolation
+from .errors import MalformedValue, SchemaViolation, read_xml
+from .packs import DATA_DIR
 from .time_model import parse_value
 
 
@@ -126,10 +126,7 @@ def _parse_q(el: ET.Element) -> GoldQuestion:
 
 def load_testbed(source) -> Testbed:
     """Parse a testbed document; invariants are enforced per question."""
-    if isinstance(source, bytes):
-        root = ET.fromstring(source)
-    else:
-        root = ET.parse(source).getroot()
+    root = read_xml(source, SchemaViolation)
     if root.tag == "Q":  # a bare block, as printed by the CLI
         return Testbed(language=root.get("lang", "en"),
                        ref=date(2008, 1, 1), questions=(_parse_q(root),))
@@ -207,7 +204,7 @@ def format_q_block(element: ET.Element) -> str:
 
 def shipped_testbed(language: str) -> Testbed:
     """Testbed bundled with the package for the given language."""
-    path = Path(__file__).parent / "data" / f"testbed_{language}.xml"
+    path = DATA_DIR / f"testbed_{language}.xml"
     if not path.is_file():
         raise SchemaViolation(f"no shipped testbed for language {language!r}")
     return load_testbed(path)

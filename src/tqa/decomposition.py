@@ -71,7 +71,7 @@ def detect_signal(question: str, tes: list[TemporalExpressionTag],
     for order, entry in enumerate(pack.signals):
         if not entry.event_linking:
             continue
-        for m in pack.compiled(entry.pattern).finditer(question):
+        for m in entry.regex.finditer(question):
             if m.start() == first_word:
                 continue
             if any(t.begin <= m.start() and m.end() <= t.end for t in tes):
@@ -88,7 +88,7 @@ def detect_signal(question: str, tes: list[TemporalExpressionTag],
     end = -neg_end
     entry = pack.signals[order]
     modifier = None
-    mod_match = pack.modifier_regex().search(question[:start])
+    mod_match = pack.modifier_regex.search(question[:start])
     if mod_match:
         modifier = mod_match.group("mod")
         begin = mod_match.start("mod")

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the XML reader that
+turns a malformed document into one of them."""
+
+from os import PathLike
+from xml.etree import ElementTree as ET
 
 
 class TqaError(Exception):
@@ -15,10 +19,6 @@ class UnanchoredValue(TqaError):
 
 class OutOfCalendar(TqaError):
     """Date arithmetic produced a day before year 1."""
-
-
-class MissingSpanBound(TqaError):
-    """A span relation was evaluated without its upper bound."""
 
 
 class UnsplittableQuestion(TqaError):
@@ -53,3 +53,15 @@ class PackInvalid(TqaError):
 
 class EmptyPopulation(TqaError):
     """Metrics were requested over zero items."""
+
+
+def read_xml(source, error: type[TqaError]) -> ET.Element:
+    """Root element of an XML document given as bytes, a path or a file;
+    a document that does not parse raises ``error``."""
+    try:
+        if isinstance(source, bytes):
+            return ET.fromstring(source)
+        return ET.parse(source).getroot()
+    except ET.ParseError as exc:
+        where = f"{source}: " if isinstance(source, (str, PathLike)) else ""
+        raise error(f"{where}malformed XML: {exc}") from None

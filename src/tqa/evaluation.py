@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
-from .backend import FixtureStore, answer_complex_question
+from .backend import FixtureStore, answer_decomposed
 from .corpus import GoldQuestion, Testbed
 from .decomposition import DecomposedQuestion, decompose
 from .errors import EmptyPopulation, UnanchoredValue, UnsplittableQuestion
@@ -339,9 +339,9 @@ def run_evaluation(testbed: Testbed, pack: LanguagePack,
         verdict = rank = None
         answers = ()
         if store is not None and gold.answer is not None:
-            outcome = answer_complex_question(gold.question, pack,
-                                              testbed.ref, store, tes=tes)
-            answers = tuple(a.text for a in outcome.answers)
+            if isinstance(analysis, DecomposedQuestion):
+                outcome = answer_decomposed(analysis, pack.code, store)
+                answers = tuple(a.text for a in outcome.answers)
             verdict, rank = judge_answer(answers, gold.answer)
         results.append(QuestionResult(
             qid=gold.id, qtype=gold.qtype, judgments=judgments,

@@ -5,19 +5,25 @@ expression rules, interrogative and verb lexicons, clause templates for
 "When"-question synthesis, stopwords and evaluation equivalences.  Packs are
 data: porting the layer to a new language means writing a pack, not code.
 
-Packs serialize to a UTF-8 XML file (see docs/pack-format.md) and two packs
-ship built in: English and Spanish.
+Packs serialize to a UTF-8 XML file (see docs/pack-format.md).  The two
+built-in packs, English and Spanish, are such files in the package's data
+directory and load through the same code as any other pack.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-from ..errors import PackInvalid
-from ..time_model import Relation
+from .errors import PackInvalid, read_xml
+from .time_model import Relation
+
+#: The package's data directory: built-in packs (<code>.xml), testbeds and
+#: fixtures.
+DATA_DIR = Path(__file__).parent / "data"
 
 #: Canonical signal lexicon keys every pack must cover (translated surfaces).
 CORE_SIGNAL_BASES = frozenset({
@@ -27,6 +33,12 @@ CORE_SIGNAL_BASES = frozenset({
 
 #: Clause template kinds understood by the question splitter.
 TEMPLATE_KINDS = ("gerund", "clitic", "verb_first", "aux", "tensed", "fallback")
+
+
+def _bounded(pattern: str) -> re.Pattern:
+    """Compile a rule pattern with word boundaries, case-insensitively."""
+    return re.compile(rf"(?<!\w)(?:{pattern})(?!\w)",
+                      re.IGNORECASE | re.UNICODE)
 
 
 @dataclass(frozen=True)
@@ -39,6 +51,10 @@ class SignalEntry:
     event_linking: bool = True
     verified: bool = True
 
+    @cached_property
+    def regex(self) -> re.Pattern:
+        return _bounded(self.pattern)
+
 
 @dataclass(frozen=True)
 class TagRule:
@@ -48,6 +64,10 @@ class TagRule:
     op: str
     pattern: str
     args: tuple[tuple[str, str], ...] = ()
+
+    @cached_property
+    def regex(self) -> re.Pattern:
+        return _bounded(self.pattern)
 
     def arg(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.args:
@@ -93,31 +113,15 @@ class LanguagePack:
     ordinal_words: dict[str, int]
     decade_words: dict[str, int]
     unit_words: dict[str, str]
-    _regex_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    # -- compiled patterns ------------------------------------------------
-
-    def compiled(self, pattern: str) -> re.Pattern:
-        """Compile a rule pattern with word boundaries, case-insensitively."""
-        cached = self._regex_cache.get(pattern)
-        if cached is None:
-            cached = re.compile(rf"(?<!\w)(?:{pattern})(?!\w)",
-                                re.IGNORECASE | re.UNICODE)
-            self._regex_cache[pattern] = cached
-        return cached
-
+    @cached_property
     def modifier_regex(self) -> re.Pattern:
         """Quantity+unit phrase immediately before a signal ("four years")."""
-        cached = self._regex_cache.get("\0modifier")
-        if cached is None:
-            numbers = "|".join([r"\d+"] + sorted(self.number_words, key=len,
-                                                 reverse=True))
-            units = "|".join(sorted(self.unit_words, key=len, reverse=True))
-            cached = re.compile(
-                rf"(?P<mod>(?:{numbers})\s+(?:{units}))\s+$",
-                re.IGNORECASE | re.UNICODE)
-            self._regex_cache["\0modifier"] = cached
-        return cached
+        numbers = "|".join([r"\d+"] + sorted(self.number_words, key=len,
+                                             reverse=True))
+        units = "|".join(sorted(self.unit_words, key=len, reverse=True))
+        return re.compile(rf"(?P<mod>(?:{numbers})\s+(?:{units}))\s+$",
+                          re.IGNORECASE | re.UNICODE)
 
     # -- verb lexicon ------------------------------------------------------
 
@@ -294,21 +298,22 @@ def serialize_pack(pack: LanguagePack) -> bytes:
 
 def load_pack(source) -> LanguagePack:
     """Load and validate a pack from a path, byte string or file object."""
-    if isinstance(source, bytes):
-        root = ET.fromstring(source)
-    elif isinstance(source, (str, Path)):
-        root = ET.parse(source).getroot()
-    else:
-        root = ET.parse(source).getroot()
+    root = read_xml(source, PackInvalid)
     if root.tag != "PACK":
         raise PackInvalid(f"root element is {root.tag!r}, expected PACK")
 
     signals = []
     for el in root.findall("SIGNALS/SIGNAL"):
+        base, relation = el.get("base", ""), el.get("relation", "")
+        try:
+            relation = Relation(relation)
+        except ValueError:
+            raise PackInvalid(f"signal {base!r}: unknown relation "
+                              f"{relation!r}") from None
         signals.append(SignalEntry(
-            base=el.get("base", ""),
+            base=base,
             pattern=(el.text or "").strip(),
-            relation=Relation(el.get("relation", "")),
+            relation=relation,
             event_linking=_BOOL.get(el.get("event", "1"), True),
             verified=_BOOL.get(el.get("verified", "1"), True)))
 
@@ -348,7 +353,11 @@ def load_pack(source) -> LanguagePack:
         if kind == "unit":
             units[key] = value
         elif kind in tables:
-            tables[kind][key] = int(value)
+            try:
+                tables[kind][key] = int(value)
+            except ValueError:
+                raise PackInvalid(f"{kind} {key!r}: value {value!r} is not "
+                                  "an integer") from None
         else:
             raise PackInvalid(f"unknown lexicon kind {kind!r}")
 
@@ -390,21 +399,6 @@ def load_pack_dir(directory, code: str) -> LanguagePack:
     return load_pack(path)
 
 
-def builtin_english() -> LanguagePack:
-    from .english import english_pack
-    return english_pack()
-
-
-def builtin_spanish() -> LanguagePack:
-    from .spanish import spanish_pack
-    return spanish_pack()
-
-
 def get_pack(code: str, pack_dir=None) -> LanguagePack:
-    """Resolve a language code to a pack, preferring an explicit pack dir."""
-    if pack_dir is not None:
-        return load_pack_dir(pack_dir, code)
-    builtin = {"en": builtin_english, "es": builtin_spanish}.get(code)
-    if builtin is None:
-        raise PackInvalid(f"no built-in pack for language {code!r}")
-    return builtin()
+    """Load <code>.xml from ``pack_dir``, by default from the built-in packs."""
+    return load_pack_dir(DATA_DIR if pack_dir is None else pack_dir, code)

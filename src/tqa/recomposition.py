@@ -78,9 +78,6 @@ def compatible(key: Relation, focus: DatedAnswer,
     if f1 is None or f2 is None:
         raise UndatedAnswer(
             f"cannot order {focus.text!r} against {restriction.text!r}")
-    if key is Relation.SPAN:
-        # with a single restriction period the span bounds collapse onto it
-        return relation_holds(Relation.WITHIN, f1, f2)
     return relation_holds(key, f1, f2)
 
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 
-from .errors import OutOfCalendar, UnanchoredValue
+from .errors import MalformedValue, OutOfCalendar, UnanchoredValue
 from .packs import LanguagePack, TagRule
 from .time_model import DayInterval, TimeValue, parse_value, to_interval
 
@@ -160,11 +160,11 @@ def _op_month_number(m, rule, pack, ref):
         if year_text:
             try:
                 return TimeValue.of_date(int(year_text), month, n)
-            except Exception:
+            except (ValueError, MalformedValue):
                 return None
         try:
             return TimeValue.of_month_day(month, n)
-        except Exception:
+        except (ValueError, MalformedValue):
             return None
     if year_text:  # "august 90 1990" is no expression
         return None
@@ -230,7 +230,7 @@ def tag(question: str, pack: LanguagePack,
     """
     candidates = []
     for index, rule in enumerate(pack.te_rules):
-        for m in pack.compiled(rule.pattern).finditer(question):
+        for m in rule.regex.finditer(question):
             value = _normalize(m, rule, pack, ref)
             if value is not None:
                 candidates.append((m.start(), -(m.end() - m.start()), index,

@@ -23,18 +23,18 @@ import re
 from dataclasses import dataclass
 from datetime import date
 
-from .errors import MalformedValue, MissingSpanBound, UnanchoredValue
+from .errors import MalformedValue, UnanchoredValue
 
 
 class Relation(enum.Enum):
     """Ordering a temporal signal imposes between a focus date F1 and a
-    restriction date F2 (or period, or pair of bounds F2/F3)."""
+    restriction date or period F2."""
 
     AFTER = "AFTER"                # F1 > F2
     BEFORE = "BEFORE"              # F1 < F2
     SIMULTANEOUS = "SIMULTANEOUS"  # F1 = F2
     WITHIN = "WITHIN"              # F2i <= F1 <= F2f
-    SPAN = "SPAN"                  # F2 <= F1 <= F3
+    SPAN = "SPAN"                  # "from E2 to E3": read as WITHIN
 
 
 class ValueKind(enum.Enum):
@@ -68,9 +68,6 @@ class DayInterval:
 
     def overlaps(self, other: "DayInterval") -> bool:
         return self.start <= other.end and other.start <= self.end
-
-    def hull(self, other: "DayInterval") -> "DayInterval":
-        return DayInterval(min(self.start, other.start), max(self.end, other.end))
 
 
 # Maximum day number per month; 29 for February since underspecified dates
@@ -265,19 +262,13 @@ def to_interval(v: TimeValue) -> DayInterval:
     raise UnanchoredValue(f"{format_value(v)} has no absolute year")
 
 
-def relation_holds(key: Relation, f1: DayInterval, f2: DayInterval,
-                   f3: DayInterval | None = None) -> bool:
+def relation_holds(key: Relation, f1: DayInterval, f2: DayInterval) -> bool:
     """Evaluate an ordering relation between day intervals.
 
     Point formulas generalize to intervals through their start days for
-    the strict orders and equality; period relations use overlap.
+    the strict orders and equality; period relations (WITHIN, SPAN) use
+    overlap.
     """
-    if key is Relation.SPAN:
-        if f3 is None:
-            raise MissingSpanBound("SPAN relation needs the F3 bound")
-        return f1.overlaps(f2.hull(f3))
-    if f3 is not None:
-        raise MissingSpanBound(f"{key.value} takes no F3 bound")
     if key is Relation.AFTER:
         return f1.start > f2.start
     if key is Relation.BEFORE:

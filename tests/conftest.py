@@ -6,19 +6,19 @@ import pytest
 
 from tqa.backend import shipped_fixtures
 from tqa.corpus import shipped_testbed
-from tqa.packs import builtin_english, builtin_spanish
+from tqa.packs import get_pack
 
 REF = date(2008, 1, 1)
 
 
 @pytest.fixture(scope="session")
 def en_pack():
-    return builtin_english()
+    return get_pack("en")
 
 
 @pytest.fixture(scope="session")
 def es_pack():
-    return builtin_spanish()
+    return get_pack("es")
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ from tqa.backend import (
     BackendQuery,
     FixtureStore,
     answer_complex_question,
-    backend_answer,
     load_fixtures,
     write_fixtures,
 )
@@ -26,14 +25,13 @@ def test_backend_lookup_is_key_normalized(fixtures_en):
     for phrasing in ("Where did Bill Clinton study?",
                      "WHERE did bill clinton Study ?",
                      "where did bill clinton study"):
-        answers = backend_answer(BackendQuery(phrasing, "en"), fixtures_en)
+        answers = fixtures_en.answer(BackendQuery(phrasing, "en"))
         assert [a.text for a in answers] == [
             "Georgetown University", "Oxford University", "Yale Law School"]
 
 
 def test_backend_unknown_question_is_empty(fixtures_en):
-    assert backend_answer(BackendQuery("Unknown question?", "en"),
-                          fixtures_en) == []
+    assert fixtures_en.answer(BackendQuery("Unknown question?", "en")) == []
 
 
 def test_strict_keys_disable_normalization(fixtures_en):
@@ -63,7 +61,7 @@ def test_fixture_round_trip(fixtures_en, fixtures_es):
 
 def test_type1_passes_backend_output_verbatim(en_pack, fixtures_en):
     question = "When did Jordan close the port of Aqaba to Kuwait?"
-    direct = backend_answer(BackendQuery(question, "en"), fixtures_en)
+    direct = fixtures_en.answer(BackendQuery(question, "en"))
     layered = answer_complex_question(question, en_pack, REF, fixtures_en)
     assert list(layered.answers) == direct
     assert layered.applied_key is None

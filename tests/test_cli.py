@@ -7,7 +7,7 @@ from xml.etree import ElementTree as ET
 from tqa.backend import write_fixtures
 from tqa.cli import main
 from tqa.corpus import load_testbed, write_testbed
-from tqa.packs import serialize_pack
+from tqa.packs import DATA_DIR, serialize_pack
 
 
 def run(capsys, *argv):
@@ -167,3 +167,43 @@ def test_custom_testbed_round_trips_through_eval(capsys, tmp_path, testbed_es):
 def test_bad_ref_flag(capsys):
     code, _, err = run(capsys, "tag", "--ref", "not-a-date", "in 1990?")
     assert code == 2
+
+
+def _truncated(path, source):
+    data = source.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    return str(path)
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_eval_truncated_testbed(capsys, tmp_path):
+    path = _truncated(tmp_path / "tb.xml", DATA_DIR / "testbed_en.xml")
+    assert_one_error_line(*run(capsys, "eval", "--testbed", path))
+
+
+def test_answer_truncated_fixtures(capsys, tmp_path):
+    path = _truncated(tmp_path / "fx.xml", DATA_DIR / "fixtures_en.xml")
+    assert_one_error_line(*run(capsys, "answer", "--fixtures", path,
+                               "Where did Bill Clinton study?"))
+
+
+def test_pack_validate_truncated_pack(capsys, tmp_path):
+    _truncated(tmp_path / "en.xml", DATA_DIR / "en.xml")
+    assert_one_error_line(*run(capsys, "pack-validate", "--lang", "en",
+                               "--pack", str(tmp_path)))
+
+
+def test_pack_validate_unknown_relation(capsys, tmp_path, en_pack):
+    doc = serialize_pack(en_pack).replace(b'relation="AFTER"',
+                                          b'relation="LATER"', 1)
+    (tmp_path / "en.xml").write_bytes(doc)
+    code, out, err = run(capsys, "pack-validate", "--lang", "en", "--pack",
+                         str(tmp_path))
+    assert_one_error_line(code, out, err)
+    assert "LATER" in err

@@ -7,9 +7,11 @@ import random
 
 import pytest
 
+from tqa.decomposition import decompose
 from tqa.errors import PackInvalid
 from tqa.packs import (
     CORE_SIGNAL_BASES,
+    DATA_DIR,
     SignalEntry,
     get_pack,
     load_pack,
@@ -18,6 +20,8 @@ from tqa.packs import (
     validate_pack,
 )
 from tqa.time_model import Relation
+
+from conftest import REF
 
 
 def test_builtins_validate(en_pack, es_pack):
@@ -44,6 +48,32 @@ def test_spanish_after_maps_to_translated_surface(es_pack):
 def test_round_trip_both_builtins(en_pack, es_pack):
     for pack in (en_pack, es_pack):
         assert load_pack(serialize_pack(pack)) == pack
+
+
+@pytest.mark.parametrize("code", ["en", "es"])
+def test_shipped_packs_are_canonical(code):
+    # the built-in pack files stay in the form serialize_pack writes
+    assert serialize_pack(get_pack(code)) == \
+        (DATA_DIR / f"{code}.xml").read_bytes()
+
+
+def test_replaced_pack_compiles_its_own_modifier_regex(en_pack):
+    question = ("Who won the Nobel Peace Prize two years after the Berlin "
+                "Wall fell?")
+    assert decompose(question, en_pack, REF).signal.modifier == "two years"
+    numbers = {k: v for k, v in en_pack.number_words.items() if k != "two"}
+    edited = dataclasses.replace(en_pack, number_words=numbers)
+    fresh = load_pack(serialize_pack(edited))
+    assert decompose(question, fresh, REF).signal.modifier is None
+    assert decompose(question, edited, REF).signal.modifier is None
+
+
+def test_non_integer_lexicon_value_is_invalid(en_pack):
+    doc = serialize_pack(en_pack)
+    entry = b'kind="number" key="two" value="2"'
+    assert entry in doc
+    with pytest.raises(PackInvalid):
+        load_pack(doc.replace(entry, b'kind="number" key="two" value="II"'))
 
 
 def test_round_trip_randomized(en_pack):

@@ -37,6 +37,8 @@ from conftest import REF
      "in the sixties?", "the sixties", "196"),
     ("What did George Bush do after the U.N. Security Council ordered a "
      "global embargo on trade with Iraq in August 90?", "August 90", "1990-08"),
+    # an impossible day drops the month-day reading; the year still tags
+    ("What happened on February 30, 1990?", "1990", "1990"),
 ])
 def test_english_gold_values(en_pack, question, surface, value):
     tags = tag(question, en_pack, REF)
@@ -81,6 +83,7 @@ def test_full_testbed_coverage(en_pack, es_pack, testbed_en, testbed_es):
 
 def test_no_temporal_language_yields_no_tags(en_pack):
     assert tag("What is the capital of Brazil?", en_pack, REF) == []
+    assert tag("What happened on February 30?", en_pack, REF) == []
 
 
 def test_span_integrity_and_order(en_pack, es_pack, testbed_en, testbed_es):

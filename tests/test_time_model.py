@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tqa.errors import MalformedValue, MissingSpanBound, UnanchoredValue
+from tqa.errors import MalformedValue, UnanchoredValue
 from tqa.time_model import (
     DayInterval,
     Relation,
@@ -164,22 +164,6 @@ def test_before_after_antisymmetric_on_disjoint_intervals():
                 assert not relation_holds(Relation.AFTER, a, b)
                 assert relation_holds(Relation.AFTER, b, a)
                 assert not relation_holds(Relation.BEFORE, b, a)
-
-
-def test_span_equals_within_on_hull():
-    ivs = _window_intervals(days=6)
-    for f1 in ivs:
-        for f2 in ivs:
-            for f3 in ivs:
-                hull = DayInterval(min(f2.start, f3.start), max(f2.end, f3.end))
-                assert relation_holds(Relation.SPAN, f1, f2, f3) == \
-                    relation_holds(Relation.WITHIN, f1, hull)
-
-
-def test_span_requires_f3():
-    a = DayInterval.of_year(1990)
-    with pytest.raises(MissingSpanBound):
-        relation_holds(Relation.SPAN, a, a)
 
 
 def test_simultaneous_is_start_equality():
