@@ -18,7 +18,7 @@ from .packs import DATA_DIR, LanguagePack
 from .recomposition import ComplexAnswer, DatedAnswer, recompose
 from .tagger import ReferenceDate
 from .textnorm import normalize_key
-from .time_model import parse_value
+from .time_model import TimeValue, parse_value
 
 #: Diagnostic: the question could not be split; no answers were produced.
 UNSPLITTABLE = "UNSPLITTABLE"
@@ -65,13 +65,20 @@ class FixtureStore:
         return list(self.entries.get(key, ()))
 
 
-def _parse_answer(el: ET.Element, key: str) -> DatedAnswer:
+def _parse_answer(el: ET.Element, key: str,
+                  values: dict[str, TimeValue]) -> DatedAnswer:
+    """One A row; ``values`` maps value strings already parsed to their
+    TimeValue, so that equal strings share one value and its interval."""
     try:
         rank = int(el.get("rank", ""))
     except ValueError:
         raise SchemaViolation(f"fixture {key!r}: bad rank {el.get('rank')!r}")
     value_text = el.get("value")
-    value = parse_value(value_text) if value_text else None
+    value = None
+    if value_text:
+        value = values.get(value_text)
+        if value is None:
+            value = values[value_text] = parse_value(value_text)
     return DatedAnswer(text=(el.text or "").strip(), rank=rank, value=value)
 
 
@@ -85,12 +92,13 @@ def load_fixtures(source, strict_keys: bool = False) -> FixtureStore:
         ref = ReferenceDate.fromisoformat(ref_text)
     except ValueError:
         raise SchemaViolation(f"bad fixture reference date {ref_text!r}")
-    entries = {}
+    entries, values = {}, {}
     for fq in root.findall("FQ"):
         key = fq.get("key", "")
         if not key:
             raise SchemaViolation("fixture entry without key")
-        answers = tuple(sorted((_parse_answer(a, key) for a in fq.findall("A")),
+        answers = tuple(sorted((_parse_answer(a, key, values)
+                                for a in fq.findall("A")),
                                key=lambda a: a.rank))
         entries[key] = answers
     return FixtureStore(entries=entries, ref=ref,

@@ -32,7 +32,7 @@ from .errors import (
     UnsplittableQuestion,
 )
 from .evaluation import render_text, render_xml, run_evaluation
-from .packs import get_pack
+from .packs import compile_patterns, get_pack
 from .tagger import tag
 
 DEFAULT_REF = date(2008, 1, 1)
@@ -168,6 +168,7 @@ def cmd_eval(args) -> int:
 
 def cmd_pack_validate(args) -> int:
     pack = get_pack(args.lang, args.pack)
+    compile_patterns(pack)
     print(f"OK {pack.code}: {len(pack.signals)} signals, "
           f"{len(pack.te_rules)} expression rules, "
           f"{len(pack.clause_templates)} clause templates")

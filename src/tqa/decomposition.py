@@ -168,8 +168,7 @@ def synthesize_when_question(clause: str, pack: LanguagePack,
                     "verb": tokens[0], "rest": " ".join(tokens[1:]),
                     "clause": clause}, pack)
         elif kind == "aux":
-            m = re.match(template.pattern, clause,
-                         re.IGNORECASE | re.UNICODE) if template.pattern else None
+            m = template.regex.match(clause) if template.pattern else None
             if m:
                 groups = {k: v or "" for k, v in m.groupdict().items()}
                 groups["clause"] = clause

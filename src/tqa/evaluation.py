@@ -15,11 +15,11 @@ from xml.etree import ElementTree as ET
 from .backend import FixtureStore, answer_decomposed
 from .corpus import GoldQuestion, Testbed
 from .decomposition import DecomposedQuestion, decompose
-from .errors import EmptyPopulation, UnanchoredValue, UnsplittableQuestion
+from .errors import EmptyPopulation, UnsplittableQuestion
 from .packs import LanguagePack
 from .tagger import TemporalExpressionTag
 from .textnorm import normalize_key, tokenize
-from .time_model import parse_value, to_interval
+from .time_model import parse_value
 
 
 class Aspect(enum.Enum):
@@ -277,13 +277,9 @@ def gold_tags(gold: GoldQuestion, question: str) -> list[TemporalExpressionTag]:
         if begin < 0:
             continue
         value = parse_value(value_text)
-        try:
-            interval = to_interval(value)
-        except UnanchoredValue:
-            interval = None
         tags.append(TemporalExpressionTag(
             surface=question[begin:begin + len(surface)], begin=begin,
-            end=begin + len(surface), value=value, interval=interval))
+            end=begin + len(surface), value=value, interval=value.interval))
         cursor = begin + len(surface)
     return tags
 

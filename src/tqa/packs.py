@@ -35,10 +35,18 @@ CORE_SIGNAL_BASES = frozenset({
 TEMPLATE_KINDS = ("gerund", "clitic", "verb_first", "aux", "tensed", "fallback")
 
 
-def _bounded(pattern: str) -> re.Pattern:
-    """Compile a rule pattern with word boundaries, case-insensitively."""
-    return re.compile(rf"(?<!\w)(?:{pattern})(?!\w)",
-                      re.IGNORECASE | re.UNICODE)
+def _compile(pattern: str, what: str) -> re.Pattern:
+    """Compile a pack pattern case-insensitively; a pattern that does not
+    compile raises PackInvalid naming ``what`` it belongs to."""
+    try:
+        return re.compile(pattern, re.IGNORECASE | re.UNICODE)
+    except re.error as exc:
+        raise PackInvalid(f"{what}: pattern does not compile: {exc}") from None
+
+
+def _bounded(pattern: str, what: str) -> re.Pattern:
+    """Compile a rule or signal pattern with word boundaries."""
+    return _compile(rf"(?<!\w)(?:{pattern})(?!\w)", what)
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,7 @@ class SignalEntry:
 
     @cached_property
     def regex(self) -> re.Pattern:
-        return _bounded(self.pattern)
+        return _bounded(self.pattern, f"signal {self.base!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ class TagRule:
 
     @cached_property
     def regex(self) -> re.Pattern:
-        return _bounded(self.pattern)
+        return _bounded(self.pattern, f"rule {self.name!r}")
 
     def arg(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.args:
@@ -83,6 +91,11 @@ class ClauseTemplate:
     kind: str
     output: str
     pattern: str | None = None
+
+    @cached_property
+    def regex(self) -> re.Pattern:
+        """The compiled ``pattern``; read only when it is set."""
+        return _compile(self.pattern, f"{self.kind} clause template")
 
 
 @dataclass(eq=True)
@@ -120,8 +133,8 @@ class LanguagePack:
         numbers = "|".join([r"\d+"] + sorted(self.number_words, key=len,
                                              reverse=True))
         units = "|".join(sorted(self.unit_words, key=len, reverse=True))
-        return re.compile(rf"(?P<mod>(?:{numbers})\s+(?:{units}))\s+$",
-                          re.IGNORECASE | re.UNICODE)
+        return _compile(rf"(?P<mod>(?:{numbers})\s+(?:{units}))\s+$",
+                        "modifier phrase of the number and unit words")
 
     # -- verb lexicon ------------------------------------------------------
 
@@ -212,6 +225,16 @@ def validate_pack(pack: LanguagePack) -> LanguagePack:
     if not pack.stopwords:
         raise PackInvalid("stopword list is empty")
     return pack
+
+
+def compile_patterns(pack: LanguagePack) -> None:
+    """Compile every pattern the pipeline reads, raising PackInvalid for
+    the first that does not compile.  Loading leaves each pattern to
+    compile on first use; this check is for ``tqa pack-validate``."""
+    aux = [t for t in pack.clause_templates if t.kind == "aux" and t.pattern]
+    for item in (*pack.te_rules, *pack.signals, *aux):
+        item.regex
+    pack.modifier_regex
 
 
 # ---------------------------------------------------------------------------

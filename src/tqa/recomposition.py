@@ -10,14 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnanchoredValue, UndatedAnswer
-from .time_model import (
-    DayInterval,
-    Relation,
-    TimeValue,
-    relation_holds,
-    to_interval,
-)
+from .errors import UndatedAnswer
+from .time_model import DayInterval, Relation, TimeValue, relation_holds
 
 #: Diagnostic: an undated answer passed the expression filter unchecked.
 UNDATED_PASSTHROUGH = "UNDATED_PASSTHROUGH"
@@ -41,12 +35,7 @@ class DatedAnswer:
 
     @property
     def interval(self) -> DayInterval | None:
-        if self.value is None:
-            return None
-        try:
-            return to_interval(self.value)
-        except UnanchoredValue:
-            return None
+        return None if self.value is None else self.value.interval
 
 
 @dataclass(frozen=True)
@@ -92,11 +81,13 @@ def recompose(focus_answers, restriction_answers, key: Relation | None,
     """
     focus = list(focus_answers)
     restriction = list(restriction_answers)
+    constraints = list(te_constraints)
     diagnostics = []
-    for constraint in te_constraints:
-        if any(a.interval is None for a in focus + restriction):
-            if UNDATED_PASSTHROUGH not in diagnostics:
-                diagnostics.append(UNDATED_PASSTHROUGH)
+    # Undated answers survive every filter, so one scan before the first
+    # finds them all.
+    if constraints and any(a.interval is None for a in focus + restriction):
+        diagnostics.append(UNDATED_PASSTHROUGH)
+    for constraint in constraints:
         focus = filter_by_te(focus, constraint)
         restriction = filter_by_te(restriction, constraint)
 

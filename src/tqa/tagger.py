@@ -12,9 +12,9 @@ import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 
-from .errors import MalformedValue, OutOfCalendar, UnanchoredValue
+from .errors import MalformedValue, OutOfCalendar
 from .packs import LanguagePack, TagRule
-from .time_model import DayInterval, TimeValue, parse_value, to_interval
+from .time_model import DayInterval, TimeValue, parse_value
 
 #: Reference date anchoring deictic and relative expressions.
 ReferenceDate = date
@@ -240,12 +240,8 @@ def tag(question: str, pack: LanguagePack,
     for start, _neg_len, _index, end, value, rule_name in candidates:
         if start < cursor:
             continue
-        try:
-            interval = to_interval(value)
-        except UnanchoredValue:
-            interval = None
         tags.append(TemporalExpressionTag(
             surface=question[start:end], begin=start, end=end,
-            value=value, interval=interval, rule=rule_name))
+            value=value, interval=value.interval, rule=rule_name))
         cursor = end
     return tags

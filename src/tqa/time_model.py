@@ -22,6 +22,7 @@ import enum
 import re
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 
 from .errors import MalformedValue, UnanchoredValue
 
@@ -138,6 +139,15 @@ class TimeValue:
     @property
     def canonical(self) -> str:
         return format_value(self)
+
+    @cached_property
+    def interval(self) -> DayInterval | None:
+        """``to_interval(self)``, computed on first access and kept; None
+        for a value without an absolute year."""
+        try:
+            return to_interval(self)
+        except UnanchoredValue:
+            return None
 
     @classmethod
     def of_year(cls, year: int) -> "TimeValue":

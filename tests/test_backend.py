@@ -16,7 +16,7 @@ from tqa.backend import (
 )
 from tqa.errors import SchemaViolation
 from tqa.recomposition import NO_RESTRICTION_ANSWER, DatedAnswer
-from tqa.time_model import parse_value
+from tqa.time_model import parse_value, to_interval
 
 from conftest import REF
 
@@ -57,6 +57,52 @@ def test_fixture_keys_must_be_normalized():
 def test_fixture_round_trip(fixtures_en, fixtures_es):
     for store in (fixtures_en, fixtures_es):
         assert load_fixtures(write_fixtures(store)) == store
+
+
+WIDE_QUESTION = "Who was the president of the club after the stadium was built?"
+WIDE_FOCUS_KEY = "who was the president of the club"
+WIDE_YEARS = ("1950", "1960", "1970", "1980")
+
+
+def _wide_fixture(n=200) -> bytes:
+    """Many focus answers sharing a few year strings; one restriction."""
+    rows = "".join(f'<A rank="{i + 1}" value="{WIDE_YEARS[i % 4]}">P{i}</A>'
+                   for i in range(n))
+    return ('<FIXTURES ref="2008-01-01" lang="en">'
+            f'<FQ key="{WIDE_FOCUS_KEY}">{rows}</FQ>'
+            '<FQ key="when was the stadium built">'
+            '<A rank="1" value="1965">Stadium</A></FQ>'
+            '</FIXTURES>').encode()
+
+
+def test_fixture_values_are_interned_per_load():
+    store = load_fixtures(_wide_fixture())
+    answers = store.entries[WIDE_FOCUS_KEY]
+    shared = {}
+    for answer in answers:
+        assert shared.setdefault(answer.value.canonical, answer.value) \
+            is answer.value
+    assert sorted(shared) == list(WIDE_YEARS)
+    assert load_fixtures(write_fixtures(store)) == store
+    # nothing outlives the load: a second load parses its own values
+    again = load_fixtures(_wide_fixture())
+    assert again.entries[WIDE_FOCUS_KEY][0].value is not answers[0].value
+
+
+def test_each_value_string_converts_to_an_interval_once(monkeypatch, en_pack):
+    store = load_fixtures(_wide_fixture())
+    calls = []
+
+    def counting(value):
+        calls.append(value.canonical)
+        return to_interval(value)
+
+    monkeypatch.setattr("tqa.time_model.to_interval", counting)
+    want = [f"P{i}" for i in range(200) if WIDE_YEARS[i % 4] > "1965"]
+    for _ in range(2):
+        result = answer_complex_question(WIDE_QUESTION, en_pack, REF, store)
+        assert [a.text for a in result.answers] == want
+    assert sorted(calls) == sorted(WIDE_YEARS + ("1965",))
 
 
 def test_type1_passes_backend_output_verbatim(en_pack, fixtures_en):

@@ -207,3 +207,28 @@ def test_pack_validate_unknown_relation(capsys, tmp_path, en_pack):
                          str(tmp_path))
     assert_one_error_line(code, out, err)
     assert "LATER" in err
+
+
+def _uncompilable_this_year_pack(directory):
+    doc = (DATA_DIR / "en.xml").read_bytes()
+    old = b"<PATTERN>this year</PATTERN>"
+    assert doc.count(old) == 1
+    (directory / "en.xml").write_bytes(
+        doc.replace(old, b"<PATTERN>this (year</PATTERN>"))
+    return str(directory)
+
+
+def test_pack_validate_uncompilable_pattern(capsys, tmp_path):
+    pack_dir = _uncompilable_this_year_pack(tmp_path)
+    code, out, err = run(capsys, "pack-validate", "--lang", "en", "--pack",
+                         pack_dir)
+    assert_one_error_line(code, out, err)
+    assert "this-year" in err
+
+
+def test_tag_uncompilable_pattern(capsys, tmp_path):
+    pack_dir = _uncompilable_this_year_pack(tmp_path)
+    code, out, err = run(capsys, "tag", "--lang", "en", "--pack", pack_dir,
+                         "in 1990?")
+    assert_one_error_line(code, out, err)
+    assert "this-year" in err

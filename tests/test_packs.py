@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from tqa.packs import (
     CORE_SIGNAL_BASES,
     DATA_DIR,
     SignalEntry,
+    compile_patterns,
     get_pack,
     load_pack,
     load_pack_dir,
@@ -74,6 +76,22 @@ def test_non_integer_lexicon_value_is_invalid(en_pack):
     assert entry in doc
     with pytest.raises(PackInvalid):
         load_pack(doc.replace(entry, b'kind="number" key="two" value="II"'))
+
+
+@pytest.mark.parametrize("old, new, named", [
+    (b"<PATTERN>this year</PATTERN>", b"<PATTERN>this (year</PATTERN>",
+     "rule 'this-year'"),
+    (b'verified="1">after</SIGNAL>', b'verified="1">after (</SIGNAL>',
+     "signal 'after'"),
+    (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;(was", "aux clause template"),
+    (b'key="two" value="2"', b'key="two (" value="2"', "modifier phrase"),
+])
+def test_pattern_that_does_not_compile_is_invalid(en_pack, old, new, named):
+    doc = serialize_pack(en_pack)
+    assert doc.count(old) == 1
+    pack = load_pack(doc.replace(old, new))  # loading compiles no pattern
+    with pytest.raises(PackInvalid, match=re.escape(named)):
+        compile_patterns(pack)
 
 
 def test_round_trip_randomized(en_pack):

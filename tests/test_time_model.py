@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from datetime import date, timedelta
 
 import pytest
@@ -145,6 +146,28 @@ def test_intervals_are_ordered(value):
         return
     iv = to_interval(value)
     assert iv.start <= iv.end
+
+
+@given(_value_strategy())
+def test_cached_interval_equals_to_interval(value):
+    if value.kind is ValueKind.UNDERSPECIFIED_DATE:
+        assert value.interval is None
+        with pytest.raises(UnanchoredValue):
+            to_interval(value)
+        return
+    assert value.interval == to_interval(value)
+    assert value.interval is value.interval
+
+
+@given(_value_strategy())
+def test_replaced_value_gets_its_own_interval(value):
+    if value.year is None:
+        return
+    parent = value.interval  # cached on the parent before the copy
+    child = dataclasses.replace(value, year=value.year % 9999 + 1)
+    assert child.interval == to_interval(child)
+    assert child.interval != parent
+    assert value.interval is parent
 
 
 def _window_intervals(base=date(2000, 1, 1), days=10):
