@@ -35,6 +35,7 @@ from .decomposition import (
     identify_type,
     split,
 )
+from .errors import Diagnostic
 from .evaluation import (
     Aspect,
     AspectJudgment,
@@ -58,7 +59,6 @@ from .packs import (
 from .recomposition import (
     ComplexAnswer,
     DatedAnswer,
-    compatible,
     filter_by_te,
     recompose,
 )

@@ -13,15 +13,12 @@ from typing import Protocol
 from xml.etree import ElementTree as ET
 
 from .decomposition import DecomposedQuestion, decompose
-from .errors import SchemaViolation, UnsplittableQuestion, read_xml
+from .errors import Diagnostic, SchemaViolation, read_xml
 from .packs import DATA_DIR, LanguagePack
 from .recomposition import ComplexAnswer, DatedAnswer, recompose
 from .tagger import ReferenceDate
 from .textnorm import normalize_key
 from .time_model import TimeValue, parse_value
-
-#: Diagnostic: the question could not be split; no answers were produced.
-UNSPLITTABLE = "UNSPLITTABLE"
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,6 @@ class FixtureStore:
     entries: dict[str, tuple[DatedAnswer, ...]]
     ref: ReferenceDate
     language: str = "en"
-    strict_keys: bool = False
 
     def __post_init__(self):
         for key, answers in self.entries.items():
@@ -56,13 +52,11 @@ class FixtureStore:
             if ranks != list(range(1, len(ranks) + 1)):
                 raise SchemaViolation(
                     f"fixture {key!r}: ranks {ranks} not contiguous from 1")
-            if not self.strict_keys and key != normalize_key(key):
+            if key != normalize_key(key):
                 raise SchemaViolation(f"fixture key {key!r} not normalized")
 
     def answer(self, query: BackendQuery) -> list[DatedAnswer]:
-        key = query.question if self.strict_keys \
-            else normalize_key(query.question)
-        return list(self.entries.get(key, ()))
+        return list(self.entries.get(normalize_key(query.question), ()))
 
 
 def _parse_answer(el: ET.Element, key: str,
@@ -82,7 +76,7 @@ def _parse_answer(el: ET.Element, key: str,
     return DatedAnswer(text=(el.text or "").strip(), rank=rank, value=value)
 
 
-def load_fixtures(source, strict_keys: bool = False) -> FixtureStore:
+def load_fixtures(source) -> FixtureStore:
     """Load a fixture file: FIXTURES[@ref,@lang] containing FQ[@key]/A rows."""
     root = read_xml(source, SchemaViolation)
     if root.tag != "FIXTURES":
@@ -102,8 +96,7 @@ def load_fixtures(source, strict_keys: bool = False) -> FixtureStore:
                                key=lambda a: a.rank))
         entries[key] = answers
     return FixtureStore(entries=entries, ref=ref,
-                        language=root.get("lang", "en"),
-                        strict_keys=strict_keys)
+                        language=root.get("lang", "en"))
 
 
 def write_fixtures(store: FixtureStore) -> bytes:
@@ -135,17 +128,17 @@ def answer_complex_question(question: str, pack: LanguagePack,
                             ) -> ComplexAnswer:
     """Decompose, query the backend, recompose.  Never raises for content
     problems: failures surface as diagnostics with an empty answer list."""
-    try:
-        analysis = decompose(question, pack, ref)
-    except UnsplittableQuestion:
-        return ComplexAnswer((), None, None, (UNSPLITTABLE,))
-    return answer_decomposed(analysis, pack.code, backend)
+    return answer_decomposed(decompose(question, pack, ref), pack.code,
+                             backend)
 
 
 def answer_decomposed(analysis: DecomposedQuestion, language: str,
                       backend: QABackend) -> ComplexAnswer:
     """Query the backend with a decomposed question's sub-questions (or the
-    question itself, for types 1 and 2) and recompose the answers."""
+    question itself, for types 1 and 2) and recompose the answers.  An
+    unsplittable question asks nothing and answers nothing."""
+    if Diagnostic.UNSPLITTABLE in analysis.diagnostics:
+        return ComplexAnswer((), None, None, analysis.diagnostics)
     constraints = [t.interval for t in analysis.tes if t.interval is not None]
     if analysis.qtype in (1, 2):
         focus = backend.answer(BackendQuery(analysis.original, language))

@@ -25,15 +25,15 @@ from .corpus import (
 )
 from .decomposition import decompose
 from .errors import (
+    Diagnostic,
     MalformedValue,
     PackInvalid,
     SchemaViolation,
     TqaError,
-    UnsplittableQuestion,
 )
 from .evaluation import render_text, render_xml, run_evaluation
 from .packs import compile_patterns, get_pack
-from .tagger import tag
+from .tagger import rule_op, tag
 
 DEFAULT_REF = date(2008, 1, 1)
 
@@ -80,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--fixtures", metavar="FILE",
                    help="fixture XML (default: fixtures shipped for --lang)")
-    p.add_argument("--strict-keys", action="store_true",
-                   help="look fixtures up without key normalization")
     p.add_argument("question")
 
     p = commands.add_parser("eval", help="run the evaluation harness")
@@ -115,10 +113,9 @@ def cmd_classify(args) -> int:
 
 def cmd_decompose(args) -> int:
     pack = get_pack(args.lang, args.pack)
-    try:
-        analysis = decompose(args.question, pack, _resolve_ref(args))
-    except UnsplittableQuestion as exc:
-        print(f"UNSPLITTABLE: {exc}", file=sys.stderr)
+    analysis = decompose(args.question, pack, _resolve_ref(args))
+    if Diagnostic.UNSPLITTABLE in analysis.diagnostics:
+        print(Diagnostic.UNSPLITTABLE.value, file=sys.stderr)
         return 1
     print(format_q_block(decomposition_to_element(analysis)))
     return 0
@@ -127,13 +124,13 @@ def cmd_decompose(args) -> int:
 def cmd_answer(args) -> int:
     pack = get_pack(args.lang, args.pack)
     if args.fixtures:
-        store = load_fixtures(args.fixtures, strict_keys=args.strict_keys)
+        store = load_fixtures(args.fixtures)
     else:
         store = shipped_fixtures(args.lang)
     result = answer_complex_question(args.question, pack,
                                      _resolve_ref(args, store.ref), store)
     for diagnostic in result.diagnostics:
-        print(diagnostic, file=sys.stderr)
+        print(diagnostic.value, file=sys.stderr)
     if not result.answers:
         print("NOACT", file=sys.stderr)
     for answer in result.answers:
@@ -169,6 +166,8 @@ def cmd_eval(args) -> int:
 def cmd_pack_validate(args) -> int:
     pack = get_pack(args.lang, args.pack)
     compile_patterns(pack)
+    for rule in pack.te_rules:
+        rule_op(rule)
     print(f"OK {pack.code}: {len(pack.signals)} signals, "
           f"{len(pack.te_rules)} expression rules, "
           f"{len(pack.clause_templates)} clause templates")

@@ -11,14 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import UnsplittableQuestion
+from .errors import Diagnostic, UnsplittableQuestion
 from .packs import ClauseTemplate, LanguagePack
 from .tagger import ReferenceDate, TemporalExpressionTag, tag
 from .time_model import Relation
-
-#: Diagnostic: the signal carries a quantity offset ("a year after") whose
-#: arithmetic is not applied; the base relation is used instead.
-OFFSET_SIGNAL_UNSUPPORTED = "OFFSET_SIGNAL_UNSUPPORTED"
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,7 @@ class DecomposedQuestion:
     signal: SignalMatch | None
     q_focus: str | None
     q_restriction: str | None
-    diagnostics: tuple[str, ...] = ()
+    diagnostics: tuple[Diagnostic, ...] = ()
 
 
 def _first_word_start(question: str) -> int:
@@ -200,12 +196,10 @@ def split(question: str, signal: SignalMatch,
     """Split a complex question at its signal into focus and restriction."""
     clause = _strip_question_mark(question[signal.end:])
     if not clause.strip():
-        raise UnsplittableQuestion(
-            f"no text after signal {signal.surface!r}", tes=tes, signal=signal)
+        raise UnsplittableQuestion(f"no text after signal {signal.surface!r}")
     focus = _trim_focus(question[:signal.begin], pack)
     if not focus:
-        raise UnsplittableQuestion(
-            f"no text before signal {signal.surface!r}", tes=tes, signal=signal)
+        raise UnsplittableQuestion(f"no text before signal {signal.surface!r}")
     q_focus = _squeeze(focus) + "?"
     q_restriction = synthesize_when_question(clause, pack, focus=q_focus)
     return q_focus, q_restriction
@@ -216,7 +210,9 @@ def decompose(question: str, pack: LanguagePack, ref: ReferenceDate,
     """Full decomposition pipeline: tag, detect signal, classify, split.
 
     ``tes`` overrides the tagger's output (used to inject gold annotations
-    during evaluation).  Types 1 and 2 pass through unsplit.
+    during evaluation).  Types 1 and 2 pass through unsplit.  A complex
+    question that cannot be split keeps its expressions, signal and type,
+    with no sub-questions and the UNSPLITTABLE diagnostic.
     """
     if not question.strip():
         raise ValueError("question is empty")
@@ -227,13 +223,13 @@ def decompose(question: str, pack: LanguagePack, ref: ReferenceDate,
     diagnostics = []
     q_focus = q_restriction = None
     if qtype in (3, 4):
-        if signal.modifier:
-            diagnostics.append(OFFSET_SIGNAL_UNSUPPORTED)
         try:
             q_focus, q_restriction = split(question, signal, tes, pack)
-        except UnsplittableQuestion as exc:
-            raise UnsplittableQuestion(str(exc), tes=tes, signal=signal,
-                                       qtype=qtype) from None
+        except UnsplittableQuestion:
+            diagnostics.append(Diagnostic.UNSPLITTABLE)
+        else:
+            if signal.modifier:
+                diagnostics.append(Diagnostic.OFFSET_SIGNAL_UNSUPPORTED)
     return DecomposedQuestion(
         original=question, qtype=qtype, tes=tuple(tes), signal=signal,
         q_focus=q_focus, q_restriction=q_restriction,

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the XML reader that
-turns a malformed document into one of them."""
+"""Exception types and the diagnostic vocabulary shared across the
+package, and the XML reader that turns a malformed document into an
+exception."""
 
+import enum
 from os import PathLike
 from xml.etree import ElementTree as ET
 
@@ -22,21 +24,7 @@ class OutOfCalendar(TqaError):
 
 
 class UnsplittableQuestion(TqaError):
-    """A complex question has no text after its temporal signal.
-
-    Carries the partial analysis so callers can still report the
-    temporal expressions, the signal and the question type.
-    """
-
-    def __init__(self, message, tes=(), signal=None, qtype=None):
-        super().__init__(message)
-        self.tes = tuple(tes)
-        self.signal = signal
-        self.qtype = qtype
-
-
-class UndatedAnswer(TqaError):
-    """An ordering check was attempted on an answer without a date."""
+    """A complex question has no text before or after its temporal signal."""
 
 
 class SchemaViolation(TqaError):
@@ -53,6 +41,23 @@ class PackInvalid(TqaError):
 
 class EmptyPopulation(TqaError):
     """Metrics were requested over zero items."""
+
+
+class Diagnostic(str, enum.Enum):
+    """Why a pipeline stage could not fully go ahead; stages return these
+    alongside their result instead of raising."""
+
+    #: decompose: the question could not be split; no answers are produced.
+    UNSPLITTABLE = "UNSPLITTABLE"
+    #: decompose: the signal carries a quantity offset ("a year after")
+    #: whose arithmetic is not applied; the base relation is used instead.
+    OFFSET_SIGNAL_UNSUPPORTED = "OFFSET_SIGNAL_UNSUPPORTED"
+    #: recompose: an undated answer passed the expression filter unchecked.
+    UNDATED_PASSTHROUGH = "UNDATED_PASSTHROUGH"
+    #: recompose: an undated answer could not enter an ordering check.
+    UNDATED_ANSWER = "UNDATED_ANSWER"
+    #: recompose: a keyed flow found no restriction answer; result is empty.
+    NO_RESTRICTION_ANSWER = "NO_RESTRICTION_ANSWER"
 
 
 def read_xml(source, error: type[TqaError]) -> ET.Element:

@@ -15,7 +15,7 @@ from xml.etree import ElementTree as ET
 from .backend import FixtureStore, answer_decomposed
 from .corpus import GoldQuestion, Testbed
 from .decomposition import DecomposedQuestion, decompose
-from .errors import EmptyPopulation, UnsplittableQuestion
+from .errors import EmptyPopulation
 from .packs import LanguagePack
 from .tagger import TemporalExpressionTag
 from .textnorm import normalize_key, tokenize
@@ -162,17 +162,12 @@ def _subquestion_matches(system: str, gold: str, pack: LanguagePack) -> bool:
     return _keywords(system, pack) == _keywords(gold, pack)
 
 
-def judge_decomposition(system: DecomposedQuestion | UnsplittableQuestion,
-                        gold: GoldQuestion,
+def judge_decomposition(system: DecomposedQuestion, gold: GoldQuestion,
                         pack: LanguagePack) -> list[AspectJudgment]:
     """Judge every aspect applicable for the gold question's type."""
     applicable = APPLICABILITY[gold.qtype]
-    if isinstance(system, UnsplittableQuestion):
-        tes, signal = system.tes, system.signal
-        qtype, q_focus, q_restriction = system.qtype, None, None
-    else:
-        tes, signal, qtype = system.tes, system.signal, system.qtype
-        q_focus, q_restriction = system.q_focus, system.q_restriction
+    tes, signal, qtype = system.tes, system.signal, system.qtype
+    q_focus, q_restriction = system.q_focus, system.q_restriction
 
     judgments = []
     decomp_acted, decomp_correct = True, True
@@ -276,10 +271,9 @@ def gold_tags(gold: GoldQuestion, question: str) -> list[TemporalExpressionTag]:
             begin = question.casefold().find(surface.casefold(), cursor)
         if begin < 0:
             continue
-        value = parse_value(value_text)
         tags.append(TemporalExpressionTag(
             surface=question[begin:begin + len(surface)], begin=begin,
-            end=begin + len(surface), value=value, interval=value.interval))
+            end=begin + len(surface), value=parse_value(value_text)))
         cursor = begin + len(surface)
     return tags
 
@@ -325,19 +319,15 @@ def run_evaluation(testbed: Testbed, pack: LanguagePack,
     results = []
     for gold in testbed.questions:
         tes = gold_tags(gold, gold.question) if gold_te_injection else None
-        try:
-            analysis = decompose(gold.question, pack, testbed.ref, tes=tes)
-        except UnsplittableQuestion as exc:
-            analysis = exc
+        analysis = decompose(gold.question, pack, testbed.ref, tes=tes)
         extension_matches += sum(t.rule in extension_rules
                                  for t in analysis.tes)
         judgments = tuple(judge_decomposition(analysis, gold, pack))
         verdict = rank = None
         answers = ()
         if store is not None and gold.answer is not None:
-            if isinstance(analysis, DecomposedQuestion):
-                outcome = answer_decomposed(analysis, pack.code, store)
-                answers = tuple(a.text for a in outcome.answers)
+            outcome = answer_decomposed(analysis, pack.code, store)
+            answers = tuple(a.text for a in outcome.answers)
             verdict, rank = judge_answer(answers, gold.answer)
         results.append(QuestionResult(
             qid=gold.id, qtype=gold.qtype, judgments=judgments,

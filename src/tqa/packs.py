@@ -414,14 +414,9 @@ def load_pack(source) -> LanguagePack:
     return validate_pack(pack)
 
 
-def load_pack_dir(directory, code: str) -> LanguagePack:
-    """Load <directory>/<code>.xml."""
-    path = Path(directory) / f"{code}.xml"
+def get_pack(code: str, pack_dir=None) -> LanguagePack:
+    """Load <code>.xml from ``pack_dir``, by default from the built-in packs."""
+    path = Path(DATA_DIR if pack_dir is None else pack_dir) / f"{code}.xml"
     if not path.is_file():
         raise PackInvalid(f"no pack file {path}")
     return load_pack(path)
-
-
-def get_pack(code: str, pack_dir=None) -> LanguagePack:
-    """Load <code>.xml from ``pack_dir``, by default from the built-in packs."""
-    return load_pack_dir(DATA_DIR if pack_dir is None else pack_dir, code)

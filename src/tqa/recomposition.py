@@ -10,15 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UndatedAnswer
+from .errors import Diagnostic
 from .time_model import DayInterval, Relation, TimeValue, relation_holds
-
-#: Diagnostic: an undated answer passed the expression filter unchecked.
-UNDATED_PASSTHROUGH = "UNDATED_PASSTHROUGH"
-#: Diagnostic: an undated answer could not enter an ordering check.
-UNDATED_ANSWER = "UNDATED_ANSWER"
-#: Diagnostic: a keyed flow found no restriction answer; result is empty.
-NO_RESTRICTION_ANSWER = "NO_RESTRICTION_ANSWER"
 
 
 @dataclass(frozen=True)
@@ -45,7 +38,7 @@ class ComplexAnswer:
     answers: tuple[DatedAnswer, ...]
     restriction_answer: DatedAnswer | None
     applied_key: Relation | None
-    diagnostics: tuple[str, ...] = ()
+    diagnostics: tuple[Diagnostic, ...] = ()
 
 
 def filter_by_te(answers, constraint: DayInterval) -> list[DatedAnswer]:
@@ -59,25 +52,15 @@ def filter_by_te(answers, constraint: DayInterval) -> list[DatedAnswer]:
     return kept
 
 
-def compatible(key: Relation, focus: DatedAnswer,
-               restriction: DatedAnswer) -> bool:
-    """Does the focus answer's date satisfy the ordering against the
-    restriction answer's date?"""
-    f1, f2 = focus.interval, restriction.interval
-    if f1 is None or f2 is None:
-        raise UndatedAnswer(
-            f"cannot order {focus.text!r} against {restriction.text!r}")
-    return relation_holds(key, f1, f2)
-
-
 def recompose(focus_answers, restriction_answers, key: Relation | None,
               te_constraints) -> ComplexAnswer:
     """Build the final answer set.
 
     Every constraint interval filters both answer lists; the best surviving
     restriction answer supplies the reference date; focus answers that
-    satisfy the ordering key survive.  Without a key (simple questions) the
-    filtered focus list is the answer.
+    satisfy the ordering key survive; an undated focus answer, or an
+    undated reference, fails the ordering check.  Without a key (simple
+    questions) the filtered focus list is the answer.
     """
     focus = list(focus_answers)
     restriction = list(restriction_answers)
@@ -86,7 +69,7 @@ def recompose(focus_answers, restriction_answers, key: Relation | None,
     # Undated answers survive every filter, so one scan before the first
     # finds them all.
     if constraints and any(a.interval is None for a in focus + restriction):
-        diagnostics.append(UNDATED_PASSTHROUGH)
+        diagnostics.append(Diagnostic.UNDATED_PASSTHROUGH)
     for constraint in constraints:
         focus = filter_by_te(focus, constraint)
         restriction = filter_by_te(restriction, constraint)
@@ -95,16 +78,18 @@ def recompose(focus_answers, restriction_answers, key: Relation | None,
         return ComplexAnswer(tuple(focus), None, None, tuple(diagnostics))
 
     if not restriction:
-        diagnostics.append(NO_RESTRICTION_ANSWER)
+        diagnostics.append(Diagnostic.NO_RESTRICTION_ANSWER)
         return ComplexAnswer((), None, key, tuple(diagnostics))
 
     reference = restriction[0]
-    kept = []
+    f2 = reference.interval
+    kept, undated = [], False
     for answer in focus:
-        try:
-            if compatible(key, answer, reference):
-                kept.append(answer)
-        except UndatedAnswer:
-            if UNDATED_ANSWER not in diagnostics:
-                diagnostics.append(UNDATED_ANSWER)
+        f1 = answer.interval
+        if f1 is None or f2 is None:
+            undated = True
+        elif relation_holds(key, f1, f2):
+            kept.append(answer)
+    if undated:
+        diagnostics.append(Diagnostic.UNDATED_ANSWER)
     return ComplexAnswer(tuple(kept), reference, key, tuple(diagnostics))

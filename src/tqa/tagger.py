@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 
-from .errors import MalformedValue, OutOfCalendar
+from .errors import MalformedValue, OutOfCalendar, PackInvalid
 from .packs import LanguagePack, TagRule
 from .time_model import DayInterval, TimeValue, parse_value
 
@@ -28,8 +28,11 @@ class TemporalExpressionTag:
     begin: int
     end: int
     value: TimeValue
-    interval: DayInterval | None
     rule: str = ""
+
+    @property
+    def interval(self) -> DayInterval | None:
+        return self.value.interval
 
 
 def _pivot_year(two_digits: int, ref: ReferenceDate) -> int:
@@ -198,26 +201,32 @@ def _op_recent_years(m, rule, pack, ref):
                               TimeValue.of_year(ref.year))
 
 
+#: Normalization ops: name -> (function, the pattern groups it requires).
 _OPS = {
-    "literal": _op_literal,
-    "year": _op_year,
-    "year-range": _op_year_range,
-    "decade": _op_decade,
-    "century": _op_century,
-    "month-number": _op_month_number,
-    "relative": _op_relative,
-    "ref-year": _op_ref_year,
-    "ref-date": _op_ref_date,
-    "recent-years": _op_recent_years,
+    "literal": (_op_literal, ()),
+    "year": (_op_year, ("y",)),
+    "year-range": (_op_year_range, ("a", "b")),
+    "decade": (_op_decade, ("d",)),
+    "century": (_op_century, ("c",)),
+    "month-number": (_op_month_number, ("m", "n")),
+    "relative": (_op_relative, ("n", "u")),
+    "ref-year": (_op_ref_year, ()),
+    "ref-date": (_op_ref_date, ()),
+    "recent-years": (_op_recent_years, ()),
 }
 
 
-def _normalize(m: re.Match, rule: TagRule, pack: LanguagePack,
-               ref: ReferenceDate) -> TimeValue | None:
-    op = _OPS.get(rule.op)
-    if op is None:
-        raise ValueError(f"rule {rule.name!r} uses unknown op {rule.op!r}")
-    return op(m, rule, pack, ref)
+def rule_op(rule: TagRule):
+    """The normalization function of a rule; PackInvalid when the op is
+    unknown or the rule's pattern lacks a group the op requires."""
+    if rule.op not in _OPS:
+        raise PackInvalid(f"rule {rule.name!r}: unknown op {rule.op!r}")
+    op, groups = _OPS[rule.op]
+    missing = [g for g in groups if g not in rule.regex.groupindex]
+    if missing:
+        raise PackInvalid(f"rule {rule.name!r}: op {rule.op!r} requires "
+                          f"pattern group(s) {', '.join(missing)}")
+    return op
 
 
 def tag(question: str, pack: LanguagePack,
@@ -231,7 +240,7 @@ def tag(question: str, pack: LanguagePack,
     candidates = []
     for index, rule in enumerate(pack.te_rules):
         for m in rule.regex.finditer(question):
-            value = _normalize(m, rule, pack, ref)
+            value = rule_op(rule)(m, rule, pack, ref)
             if value is not None:
                 candidates.append((m.start(), -(m.end() - m.start()), index,
                                    m.end(), value, rule.name))
@@ -242,6 +251,6 @@ def tag(question: str, pack: LanguagePack,
             continue
         tags.append(TemporalExpressionTag(
             surface=question[start:end], begin=start, end=end,
-            value=value, interval=value.interval, rule=rule_name))
+            value=value, rule=rule_name))
         cursor = end
     return tags

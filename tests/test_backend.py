@@ -7,15 +7,14 @@ from datetime import date
 import pytest
 
 from tqa.backend import (
-    UNSPLITTABLE,
     BackendQuery,
     FixtureStore,
     answer_complex_question,
     load_fixtures,
     write_fixtures,
 )
-from tqa.errors import SchemaViolation
-from tqa.recomposition import NO_RESTRICTION_ANSWER, DatedAnswer
+from tqa.errors import Diagnostic, SchemaViolation
+from tqa.recomposition import DatedAnswer
 from tqa.time_model import parse_value, to_interval
 
 from conftest import REF
@@ -32,15 +31,6 @@ def test_backend_lookup_is_key_normalized(fixtures_en):
 
 def test_backend_unknown_question_is_empty(fixtures_en):
     assert fixtures_en.answer(BackendQuery("Unknown question?", "en")) == []
-
-
-def test_strict_keys_disable_normalization(fixtures_en):
-    strict = FixtureStore(entries=dict(fixtures_en.entries), ref=fixtures_en.ref,
-                          language="en", strict_keys=True)
-    assert strict.answer(BackendQuery("Where did Bill Clinton study?",
-                                      "en")) == []
-    assert strict.answer(BackendQuery("where did bill clinton study",
-                                      "en")) != []
 
 
 def test_fixture_ranks_must_be_contiguous():
@@ -133,14 +123,14 @@ def test_missing_restriction_fixture_yields_diagnostic(en_pack, fixtures_en):
         "Who was the president of US when the AARP was founded?",
         en_pack, REF, fixtures_en)
     assert result.answers == ()
-    assert NO_RESTRICTION_ANSWER in result.diagnostics
+    assert Diagnostic.NO_RESTRICTION_ANSWER in result.diagnostics
 
 
 def test_unsplittable_becomes_diagnostic(en_pack, fixtures_en):
     result = answer_complex_question("What happened before?", en_pack, REF,
                                      fixtures_en)
     assert result.answers == ()
-    assert UNSPLITTABLE in result.diagnostics
+    assert Diagnostic.UNSPLITTABLE in result.diagnostics
 
 
 def test_determinism(en_pack, fixtures_en):

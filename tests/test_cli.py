@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from xml.etree import ElementTree as ET
 
+import pytest
+
 from tqa.backend import write_fixtures
 from tqa.cli import main
 from tqa.corpus import load_testbed, write_testbed
@@ -46,7 +48,18 @@ def test_decompose_spanish_gold_restriction(capsys):
 def test_decompose_unsplittable_exit_code(capsys):
     code, out, err = run(capsys, "decompose", "What happened before?")
     assert code == 1
-    assert "UNSPLITTABLE" in err
+    assert out == ""
+    assert err == "UNSPLITTABLE\n"
+
+
+def test_classify_unsplittable_question(capsys):
+    code, out, err = run(capsys, "classify", "What happened before?")
+    assert (code, out, err) == (0, "4\n", "")
+
+
+def test_answer_unsplittable_question(capsys):
+    code, out, err = run(capsys, "answer", "What happened before?")
+    assert (code, out, err) == (0, "", "UNSPLITTABLE\nNOACT\n")
 
 
 def test_tag_output(capsys):
@@ -80,18 +93,6 @@ def test_answer_type2_fixture(capsys):
     code, out, _ = run(capsys, "answer", "--lang", "en",
                        "Where were the Olympics held 16 years ago?")
     assert (code, out.splitlines()) == (0, ["Barcelona"])
-
-
-def test_answer_strict_keys(capsys, tmp_path, fixtures_en):
-    path = tmp_path / "fx.xml"
-    path.write_bytes(write_fixtures(fixtures_en))
-    code, out, err = run(capsys, "answer", "--strict-keys", "--fixtures",
-                         str(path), "Where did Bill Clinton study?")
-    assert code == 0
-    assert out == ""  # raw question text is not a stored key
-    code, out, _ = run(capsys, "answer", "--strict-keys", "--fixtures",
-                       str(path), "where did bill clinton study")
-    assert out.splitlines()[0] == "Georgetown University"
 
 
 def test_answer_unreadable_fixtures(capsys):
@@ -232,3 +233,29 @@ def test_tag_uncompilable_pattern(capsys, tmp_path):
                          "in 1990?")
     assert_one_error_line(code, out, err)
     assert "this-year" in err
+
+
+def _broken_plain_year_pack(directory, old, new):
+    doc = (DATA_DIR / "en.xml").read_bytes()
+    start = doc.index(b'<RULE name="plain-year"')
+    end = doc.index(b"</RULE>", start)
+    rule = doc[start:end]
+    assert rule.count(old) == 1
+    (directory / "en.xml").write_bytes(
+        doc[:start] + rule.replace(old, new) + doc[end:])
+    return str(directory)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    (b'op="year"', b'op="yeer"', "unknown op 'yeer'"),
+    (b"?P&lt;y&gt;", b"?P&lt;yy&gt;", "group(s) y"),
+], ids=["unknown-op", "missing-group"])
+@pytest.mark.parametrize("command,question", [
+    ("pack-validate", ()), ("tag", ("in 1990?",)),
+], ids=["pack-validate", "tag"])
+def test_bad_rule_op(capsys, tmp_path, command, question, old, new, message):
+    pack_dir = _broken_plain_year_pack(tmp_path, old, new)
+    code, out, err = run(capsys, command, "--lang", "en", "--pack", pack_dir,
+                         *question)
+    assert_one_error_line(code, out, err)
+    assert "plain-year" in err and message in err

@@ -5,13 +5,12 @@ from __future__ import annotations
 import pytest
 
 from tqa.decomposition import (
-    OFFSET_SIGNAL_UNSUPPORTED,
     decompose,
     detect_signal,
     identify_type,
     split,
 )
-from tqa.errors import UnsplittableQuestion
+from tqa.errors import Diagnostic, UnsplittableQuestion
 from tqa.tagger import tag
 from tqa.textnorm import tokenize
 from tqa.time_model import Relation
@@ -70,7 +69,7 @@ def test_modifier_signal_captured_but_flagged(en_pack):
     assert analysis.signal.surface == "four years after"
     assert analysis.signal.modifier == "four years"
     assert analysis.signal.base == "after"
-    assert OFFSET_SIGNAL_UNSUPPORTED in analysis.diagnostics
+    assert Diagnostic.OFFSET_SIGNAL_UNSUPPORTED in analysis.diagnostics
     assert analysis.q_focus == "Who was the Prime Minister of Spain?"
 
 
@@ -155,8 +154,17 @@ def test_on_before_expression_yields_other_signal(en_pack):
 
 
 def test_unsplittable_question(en_pack):
-    with pytest.raises(UnsplittableQuestion):
-        decompose("What happened before?", en_pack, REF)
+    analysis = decompose("What happened before?", en_pack, REF)
+    assert analysis.qtype == 4
+    assert analysis.signal.base == "before"
+    assert analysis.q_focus is None and analysis.q_restriction is None
+    assert analysis.diagnostics == (Diagnostic.UNSPLITTABLE,)
+
+
+def test_unsplittable_offset_signal_is_only_unsplittable(en_pack):
+    analysis = decompose("What happened two years before?", en_pack, REF)
+    assert analysis.signal.modifier == "two years"
+    assert analysis.diagnostics == (Diagnostic.UNSPLITTABLE,)
 
 
 def test_gold_splits_match_testbeds(en_pack, es_pack, testbed_en, testbed_es):

@@ -17,7 +17,6 @@ from tqa.packs import (
     compile_patterns,
     get_pack,
     load_pack,
-    load_pack_dir,
     serialize_pack,
     validate_pack,
 )
@@ -115,10 +114,9 @@ def test_round_trip_randomized(en_pack):
 
 def test_pack_dir_loading(tmp_path, es_pack):
     (tmp_path / "es.xml").write_bytes(serialize_pack(es_pack))
-    assert load_pack_dir(tmp_path, "es") == es_pack
     assert get_pack("es", tmp_path) == es_pack
-    with pytest.raises(PackInvalid):
-        load_pack_dir(tmp_path, "fr")
+    with pytest.raises(PackInvalid, match="no pack file"):
+        get_pack("fr", tmp_path)
 
 
 def test_missing_when_word_is_invalid(en_pack):

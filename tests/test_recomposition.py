@@ -10,13 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tqa.errors import UndatedAnswer
+from tqa.errors import Diagnostic
 from tqa.recomposition import (
-    NO_RESTRICTION_ANSWER,
-    UNDATED_ANSWER,
-    UNDATED_PASSTHROUGH,
     DatedAnswer,
-    compatible,
     filter_by_te,
     recompose,
 )
@@ -61,23 +57,6 @@ def test_filter_keeps_undated():
     assert filter_by_te(undated, to_interval(parse_value("196"))) == undated
 
 
-def test_compatible_before_after():
-    assert compatible(Relation.BEFORE, STUDY_ANSWERS[0], RESTRICTION[0])
-    assert not compatible(Relation.BEFORE, STUDY_ANSWERS[2], RESTRICTION[0])
-    assert compatible(Relation.AFTER, STUDY_ANSWERS[2], RESTRICTION[0])
-
-
-def test_compatible_simultaneous_identical_days():
-    a = answer("a", 1, "1990-08-01")
-    b = answer("b", 1, "1990-08-01")
-    assert compatible(Relation.SIMULTANEOUS, a, b)
-
-
-def test_compatible_requires_dates():
-    with pytest.raises(UndatedAnswer):
-        compatible(Relation.BEFORE, answer("x", 1), RESTRICTION[0])
-
-
 @pytest.mark.parametrize("key,expected", [
     (Relation.BEFORE, ["Georgetown University"]),
     (Relation.AFTER, ["Yale Law School"]),
@@ -98,21 +77,30 @@ def test_recompose_without_key_filters_only():
 def test_recompose_no_restriction_answer():
     result = recompose(STUDY_ANSWERS, [], Relation.BEFORE, [])
     assert result.answers == ()
-    assert NO_RESTRICTION_ANSWER in result.diagnostics
+    assert Diagnostic.NO_RESTRICTION_ANSWER in result.diagnostics
 
 
 def test_recompose_restriction_filtered_away():
     constraint = to_interval(parse_value("199"))
     result = recompose(STUDY_ANSWERS, RESTRICTION, Relation.BEFORE, [constraint])
     assert result.answers == ()
-    assert NO_RESTRICTION_ANSWER in result.diagnostics
+    assert Diagnostic.NO_RESTRICTION_ANSWER in result.diagnostics
 
 
 def test_recompose_undated_focus_fails_closed():
     focus = [answer("dated", 1, "1960"), answer("undated", 2)]
     result = recompose(focus, RESTRICTION, Relation.BEFORE, [])
     assert texts(result) == ["dated"]
-    assert UNDATED_ANSWER in result.diagnostics
+    assert Diagnostic.UNDATED_ANSWER in result.diagnostics
+
+
+def test_recompose_undated_reference_keeps_nothing():
+    undated_reference = answer("no date", 1)
+    result = recompose(STUDY_ANSWERS[:1], [undated_reference],
+                       Relation.BEFORE, [])
+    assert result.answers == ()
+    assert result.restriction_answer == undated_reference
+    assert result.diagnostics == (Diagnostic.UNDATED_ANSWER,)
 
 
 def test_recompose_undated_passthrough_diagnostic():
@@ -120,7 +108,7 @@ def test_recompose_undated_passthrough_diagnostic():
     constraint = to_interval(parse_value("1992"))
     result = recompose(focus, [], None, [constraint])
     assert texts(result) == ["undated"]
-    assert UNDATED_PASSTHROUGH in result.diagnostics
+    assert Diagnostic.UNDATED_PASSTHROUGH in result.diagnostics
 
 
 def test_recompose_preserves_backend_order():
