@@ -13,7 +13,7 @@ from typing import Protocol
 from xml.etree import ElementTree as ET
 
 from .decomposition import DecomposedQuestion, decompose
-from .errors import Diagnostic, SchemaViolation, read_xml
+from .errors import Diagnostic, SchemaViolation, TqaError, iter_xml
 from .packs import DATA_DIR, LanguagePack
 from .recomposition import ComplexAnswer, DatedAnswer, recompose
 from .tagger import ReferenceDate
@@ -76,9 +76,34 @@ def _parse_answer(el: ET.Element, key: str,
     return DatedAnswer(text=(el.text or "").strip(), rank=rank, value=value)
 
 
+def _parse_entry(fq: ET.Element, values: dict[str, TimeValue],
+                 ) -> tuple[str, tuple[DatedAnswer, ...]]:
+    """One FQ element: its key and its A rows in rank order."""
+    key = fq.get("key", "")
+    if not key:
+        raise SchemaViolation("fixture entry without key")
+    return key, tuple(sorted((_parse_answer(a, key, values)
+                              for a in fq.findall("A")),
+                             key=lambda a: a.rank))
+
+
 def load_fixtures(source) -> FixtureStore:
-    """Load a fixture file: FIXTURES[@ref,@lang] containing FQ[@key]/A rows."""
-    root = read_xml(source, SchemaViolation)
+    """Load a fixture file: FIXTURES[@ref,@lang] containing FQ[@key]/A rows.
+
+    The file is streamed: each FQ is parsed when its end tag is read and is
+    then cleared, so the whole document is never held at once.  An FQ's
+    fault is raised only after the root and its reference date pass, and
+    only if the FQ is a child of the root, so the fault reported is the
+    first in document order, the root's before any entry's."""
+    parsed, values = {}, {}
+    for element in iter_xml(source, SchemaViolation):
+        if element.tag == "FQ":
+            try:
+                parsed[element] = _parse_entry(element, values)
+            except TqaError as exc:
+                parsed[element] = exc
+            element.clear()
+    root = element
     if root.tag != "FIXTURES":
         raise SchemaViolation(f"root element {root.tag!r}, expected FIXTURES")
     ref_text = root.get("ref", "")
@@ -86,14 +111,12 @@ def load_fixtures(source) -> FixtureStore:
         ref = ReferenceDate.fromisoformat(ref_text)
     except ValueError:
         raise SchemaViolation(f"bad fixture reference date {ref_text!r}")
-    entries, values = {}, {}
+    entries = {}
     for fq in root.findall("FQ"):
-        key = fq.get("key", "")
-        if not key:
-            raise SchemaViolation("fixture entry without key")
-        answers = tuple(sorted((_parse_answer(a, key, values)
-                                for a in fq.findall("A")),
-                               key=lambda a: a.rank))
+        entry = parsed[fq]
+        if isinstance(entry, TqaError):
+            raise entry
+        key, answers = entry
         entries[key] = answers
     return FixtureStore(entries=entries, ref=ref,
                         language=root.get("lang", "en"))

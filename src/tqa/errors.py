@@ -3,6 +3,8 @@ package, and the XML reader that turns a malformed document into an
 exception."""
 
 import enum
+import io
+from collections.abc import Iterator
 from os import PathLike
 from xml.etree import ElementTree as ET
 
@@ -60,13 +62,22 @@ class Diagnostic(str, enum.Enum):
     NO_RESTRICTION_ANSWER = "NO_RESTRICTION_ANSWER"
 
 
-def read_xml(source, error: type[TqaError]) -> ET.Element:
-    """Root element of an XML document given as bytes, a path or a file;
-    a document that does not parse raises ``error``."""
+def iter_xml(source, error: type[TqaError]) -> Iterator[ET.Element]:
+    """Each element of an XML document given as bytes, a path or a binary
+    file, as its end tag is read, the root last; a document that does not
+    parse raises ``error``.  A caller that clears each element it is done
+    with never holds the whole tree."""
+    stream = io.BytesIO(source) if isinstance(source, bytes) else source
     try:
-        if isinstance(source, bytes):
-            return ET.fromstring(source)
-        return ET.parse(source).getroot()
+        for _, element in ET.iterparse(stream):
+            yield element
     except ET.ParseError as exc:
         where = f"{source}: " if isinstance(source, (str, PathLike)) else ""
         raise error(f"{where}malformed XML: {exc}") from None
+
+
+def read_xml(source, error: type[TqaError]) -> ET.Element:
+    """Root element of an XML document, read as ``iter_xml`` reads it."""
+    for root in iter_xml(source, error):
+        pass
+    return root

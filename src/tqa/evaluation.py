@@ -110,24 +110,11 @@ def _gold_te_pairs(gold: GoldQuestion) -> list[tuple[str, str]]:
                   for surface, value in gold.tes)
 
 
-def _first_token(text: str) -> str | None:
-    tokens = tokenize(text)
-    return tokens[0] if tokens else None
-
-
-def _equivalence_map(pack: LanguagePack) -> dict[str, str]:
-    canon = {}
-    for a, b in pack.equivalences:
-        canon[a] = a
-        canon[b] = a
-    return canon
-
-
-def _keywords(text: str, pack: LanguagePack) -> list[str]:
+def _keywords(tokens: list[str], pack: LanguagePack) -> list[str]:
     """Non-stopword tokens, filler-free, verb forms normalized, sorted."""
-    canon = _equivalence_map(pack)
+    canon = pack.equivalence_map
     out = []
-    for token in tokenize(text):
+    for token in tokens:
         if token in pack.stopwords or token in pack.fillers:
             continue
         token = canon.get(token, token)
@@ -138,9 +125,7 @@ def _keywords(text: str, pack: LanguagePack) -> list[str]:
 
 
 def _main_verb(text: str, pack: LanguagePack) -> str | None:
-    skip = {w.casefold() for w in pack.wh_words} \
-        | {w.casefold() for w in pack.aux_words} \
-        | set(pack.clitics) | pack.stopwords
+    skip = pack.non_verb_words
     for token in text.replace("?", " ").replace("¿", " ").split():
         if token.casefold() in skip:
             continue
@@ -152,14 +137,15 @@ def _main_verb(text: str, pack: LanguagePack) -> str | None:
 def _subquestion_matches(system: str, gold: str, pack: LanguagePack) -> bool:
     """The three splitter criteria: interrogative particle, main verb in
     the gold form, keyword multiset equality modulo stopwords."""
-    if _first_token(system) != _first_token(gold):
+    system_tokens, gold_tokens = tokenize(system), tokenize(gold)
+    if system_tokens[:1] != gold_tokens[:1]:
         return False
     gold_verb = _main_verb(gold, pack)
     if gold_verb is not None and gold_verb not in pack.fillers:
         if gold_verb not in {t.casefold() for t in
                              system.replace("?", " ").replace("¿", " ").split()}:
             return False
-    return _keywords(system, pack) == _keywords(gold, pack)
+    return _keywords(system_tokens, pack) == _keywords(gold_tokens, pack)
 
 
 def judge_decomposition(system: DecomposedQuestion, gold: GoldQuestion,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from datetime import date
 
 import pytest
@@ -14,6 +15,7 @@ from tqa.backend import (
     write_fixtures,
 )
 from tqa.errors import Diagnostic, SchemaViolation
+from tqa.packs import DATA_DIR
 from tqa.recomposition import DatedAnswer
 from tqa.time_model import parse_value, to_interval
 
@@ -162,3 +164,84 @@ def test_bad_fixture_file_reports_schema():
     with pytest.raises(SchemaViolation):
         load_fixtures(b'<FIXTURES ref="2008-01-01" lang="en">'
                       b'<FQ key="q"><A rank="2">x</A></FQ></FIXTURES>')
+
+
+def _document(keys: int, rows: int) -> bytes:
+    entries = "".join(
+        f'<FQ key="question {k}">'
+        + "".join(f'<A rank="{r + 1}" value="{1900 + (k + r) % 100}">'
+                  f"answer {k} {r}</A>" for r in range(rows))
+        + "</FQ>" for k in range(keys))
+    return f'<FIXTURES ref="2008-01-01" lang="en">{entries}</FIXTURES>'.encode()
+
+
+def test_fixture_load_peak_memory_is_the_store():
+    document = _document(keys=200, rows=50)
+    tracemalloc.start()
+    try:
+        store = load_fixtures(document)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store.entries) == 200
+    # the whole tree, never built at once, would cost several times the store
+    assert peak < 1.5 * held
+
+
+def test_fixture_sources_load_equal_stores():
+    path = DATA_DIR / "fixtures_en.xml"
+    with open(path, "rb") as stream:
+        from_file = load_fixtures(stream)
+    stores = [load_fixtures(path.read_bytes()), load_fixtures(str(path)),
+              load_fixtures(path), from_file]
+    assert all(store == stores[0] for store in stores)
+
+
+def test_fixture_entries_are_root_fq_children_only():
+    store = load_fixtures(
+        b'<FIXTURES ref="2008-01-01" lang="en">'
+        b'<GROUP><FQ key="nested"><A rank="1">n</A></FQ></GROUP>'
+        b'<FQ key="kept"><A rank="1">k</A>'
+        b'<FQ key="inner"><A rank="1">i</A></FQ></FQ>'
+        b'<NOTE key="note"><A rank="1">x</A></NOTE>'
+        b'</FIXTURES>')
+    assert {key: [a.text for a in answers]
+            for key, answers in store.entries.items()} == {"kept": ["k"]}
+
+
+def test_ignored_fixture_entry_faults_are_not_raised():
+    store = load_fixtures(
+        b'<FIXTURES ref="2008-01-01" lang="en">'
+        b'<GROUP><FQ><A rank="x" value="zz">n</A></FQ></GROUP>'
+        b'<FQ key="kept"><A rank="1">k</A></FQ></FIXTURES>')
+    assert list(store.entries) == ["kept"]
+
+
+def test_fixture_last_duplicate_key_wins():
+    store = load_fixtures(
+        b'<FIXTURES ref="2008-01-01" lang="en">'
+        b'<FQ key="a"><A rank="1">first</A></FQ>'
+        b'<FQ key="b"><A rank="1">b</A></FQ>'
+        b'<FQ key="a"><A rank="1">second</A></FQ></FIXTURES>')
+    assert list(store.entries) == ["a", "b"]
+    assert [a.text for a in store.entries["a"]] == ["second"]
+
+
+def test_fixture_root_faults_are_reported_before_entry_faults():
+    with pytest.raises(SchemaViolation, match="reference date"):
+        load_fixtures(b'<FIXTURES ref="x"><FQ><A rank="1">a</A></FQ>'
+                      b'</FIXTURES>')
+    with pytest.raises(SchemaViolation, match="expected FIXTURES"):
+        load_fixtures(b'<WRONG><FQ key="q"><A rank="y">a</A></FQ></WRONG>')
+
+
+def test_truncated_fixture_file_is_malformed(tmp_path):
+    document = _document(keys=20, rows=3)
+    cut = document.index(b"</FQ>", len(document) // 2) + len(b"</FQ>")
+    path = tmp_path / "fixtures.xml"
+    path.write_bytes(document[:cut])
+    with pytest.raises(SchemaViolation, match="malformed XML") as err:
+        load_fixtures(path)
+    assert str(err.value).startswith(f"{path}: ")
+    with pytest.raises(SchemaViolation, match="malformed XML"):
+        load_fixtures(document[:cut])
