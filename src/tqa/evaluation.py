@@ -110,9 +110,17 @@ def _gold_te_pairs(gold: GoldQuestion) -> list[tuple[str, str]]:
                   for surface, value in gold.tes)
 
 
+def _equivalence_map(pack: LanguagePack) -> dict[str, str]:
+    canon = {}
+    for a, b in pack.equivalences:
+        canon[a] = a
+        canon[b] = a
+    return canon
+
+
 def _keywords(tokens: list[str], pack: LanguagePack) -> list[str]:
     """Non-stopword tokens, filler-free, verb forms normalized, sorted."""
-    canon = pack.equivalence_map
+    canon = _equivalence_map(pack)
     out = []
     for token in tokens:
         if token in pack.stopwords or token in pack.fillers:
@@ -125,7 +133,9 @@ def _keywords(tokens: list[str], pack: LanguagePack) -> list[str]:
 
 
 def _main_verb(text: str, pack: LanguagePack) -> str | None:
-    skip = pack.non_verb_words
+    skip = {w.casefold() for w in pack.wh_words} \
+        | {w.casefold() for w in pack.aux_words} \
+        | set(pack.clitics) | pack.stopwords
     for token in text.replace("?", " ").replace("¿", " ").split():
         if token.casefold() in skip:
             continue

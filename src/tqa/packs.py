@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -135,23 +135,6 @@ class LanguagePack:
         units = "|".join(sorted(self.unit_words, key=len, reverse=True))
         return _compile(rf"(?P<mod>(?:{numbers})\s+(?:{units}))\s+$",
                         "modifier phrase of the number and unit words")
-
-    @cached_property
-    def equivalence_map(self) -> dict[str, str]:
-        """Each word of an evaluation equivalence -> its pair's first word."""
-        canon = {}
-        for a, b in self.equivalences:
-            canon[a] = a
-            canon[b] = a
-        return canon
-
-    @cached_property
-    def non_verb_words(self) -> frozenset[str]:
-        """Casefolded words never taken as a question's main verb:
-        interrogatives, auxiliaries, clitics and stopwords."""
-        return frozenset({w.casefold() for w in self.wh_words}
-                         | {w.casefold() for w in self.aux_words}
-                         | set(self.clitics) | self.stopwords)
 
     # -- verb lexicon ------------------------------------------------------
 
@@ -432,17 +415,8 @@ def load_pack(source) -> LanguagePack:
 
 
 def get_pack(code: str, pack_dir=None) -> LanguagePack:
-    """Load <code>.xml from ``pack_dir``, by default from the built-in packs.
-    A built-in pack is loaded once per process and shared; a pack from an
-    explicit ``pack_dir`` is read on every call."""
-    if pack_dir is None:
-        return _builtin_pack(code)
-    path = Path(pack_dir) / f"{code}.xml"
+    """Load <code>.xml from ``pack_dir``, by default from the built-in packs."""
+    path = Path(DATA_DIR if pack_dir is None else pack_dir) / f"{code}.xml"
     if not path.is_file():
         raise PackInvalid(f"no pack file {path}")
     return load_pack(path)
-
-
-@cache
-def _builtin_pack(code: str) -> LanguagePack:
-    return get_pack(code, DATA_DIR)

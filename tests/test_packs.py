@@ -151,15 +151,6 @@ def test_duplicate_rule_names_are_invalid(en_pack):
         validate_pack(dataclasses.replace(en_pack, te_rules=doubled))
 
 
-def test_builtin_packs_are_loaded_once():
-    assert get_pack("en") is get_pack("en")
-    assert get_pack("es") is not get_pack("en")
-    explicit = get_pack("en", DATA_DIR)
-    assert explicit == get_pack("en")
-    assert explicit is not get_pack("en")
-    assert explicit is not get_pack("en", DATA_DIR)
-
-
 def test_unknown_builtin_language():
     with pytest.raises(PackInvalid):
         get_pack("fr")
