@@ -6,7 +6,12 @@ reference date defaults to the fixture or testbed file's own and finally
 to 2008-01-01.
 
 Exit codes: 0 success (an empty answer list is a valid outcome), 1
-processing diagnostics, 2 usage, I/O or schema errors.
+processing diagnostics, 2 usage (a blank question included), I/O or schema
+errors.
+
+Each command imports the modules it runs, so a start-up pays only for
+those: ``answer`` never loads corpus or evaluation, ``tag`` never loads
+the backend.
 """
 
 from __future__ import annotations
@@ -16,14 +21,6 @@ import sys
 from datetime import date
 
 from . import __version__
-from .backend import answer_complex_question, load_fixtures, shipped_fixtures
-from .corpus import (
-    decomposition_to_element,
-    format_q_block,
-    load_testbed,
-    shipped_testbed,
-)
-from .decomposition import decompose
 from .errors import (
     Diagnostic,
     MalformedValue,
@@ -31,9 +28,7 @@ from .errors import (
     SchemaViolation,
     TqaError,
 )
-from .evaluation import render_text, render_xml, run_evaluation
 from .packs import compile_patterns, get_pack
-from .tagger import rule_op, tag
 
 DEFAULT_REF = date(2008, 1, 1)
 
@@ -99,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_tag(args) -> int:
+    from .tagger import tag
     pack = get_pack(args.lang, args.pack)
     for t in tag(args.question, pack, _resolve_ref(args)):
         print(f'<TE value="{t.value.canonical}">{t.surface}</TE>')
@@ -106,12 +102,15 @@ def cmd_tag(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .decomposition import decompose
     pack = get_pack(args.lang, args.pack)
     print(decompose(args.question, pack, _resolve_ref(args)).qtype)
     return 0
 
 
 def cmd_decompose(args) -> int:
+    from .corpus import decomposition_to_element, format_q_block
+    from .decomposition import decompose
     pack = get_pack(args.lang, args.pack)
     analysis = decompose(args.question, pack, _resolve_ref(args))
     if Diagnostic.UNSPLITTABLE in analysis.diagnostics:
@@ -122,6 +121,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_answer(args) -> int:
+    from .backend import (answer_complex_question, load_fixtures,
+                          shipped_fixtures)
     pack = get_pack(args.lang, args.pack)
     if args.fixtures:
         store = load_fixtures(args.fixtures)
@@ -139,6 +140,9 @@ def cmd_answer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .backend import load_fixtures
+    from .corpus import load_testbed, shipped_testbed
+    from .evaluation import render_text, render_xml, run_evaluation
     pack = get_pack(args.lang, args.pack)
     testbed = load_testbed(args.testbed) if args.testbed \
         else shipped_testbed(args.lang)
@@ -164,6 +168,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pack_validate(args) -> int:
+    from .tagger import rule_op
     pack = get_pack(args.lang, args.pack)
     compile_patterns(pack)
     for rule in pack.te_rules:
@@ -186,6 +191,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    question = getattr(args, "question", None)
+    if question is not None and not question.strip():
+        print("error: question is empty", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except (SchemaViolation, PackInvalid, MalformedValue, OSError) as exc:

@@ -172,6 +172,8 @@ def _op_month_number(m, rule, pack, ref):
     if year_text:  # "august 90 1990" is no expression
         return None
     year = int(n) if n >= 1000 else _pivot_year(n % 100, ref)
+    if year < 1:  # a two-digit year pivoted before year 1
+        return None
     return TimeValue.of_year_month(year, month)
 
 
@@ -197,6 +199,8 @@ def _op_ref_date(m, rule, pack, ref):
 
 def _op_recent_years(m, rule, pack, ref):
     back = int(rule.arg("years", "5"))
+    if ref.year - back < 1:
+        return None
     return TimeValue.of_range(TimeValue.of_year(ref.year - back),
                               TimeValue.of_year(ref.year))
 

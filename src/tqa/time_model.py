@@ -17,7 +17,6 @@ maps to the tightest ``DayInterval`` covering the days it denotes.
 
 from __future__ import annotations
 
-import calendar
 import enum
 import re
 from dataclasses import dataclass
@@ -72,7 +71,8 @@ class DayInterval:
 
 
 # Maximum day number per month; 29 for February since underspecified dates
-# have no year to rule a leap day out.
+# have no year to rule a leap day out (a year-month ends on the 28th of a
+# February outside a Gregorian leap year).
 _MAX_DAY = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
@@ -263,7 +263,8 @@ def to_interval(v: TimeValue) -> DayInterval:
         first = v.prefix * 100
         return DayInterval(date(first, 1, 1), date(first + 99, 12, 31))
     if kind is ValueKind.YEAR_MONTH:
-        last = calendar.monthrange(v.year, v.month)[1]
+        leap = v.year % 4 == 0 and (v.year % 100 != 0 or v.year % 400 == 0)
+        last = 28 if v.month == 2 and not leap else _MAX_DAY[v.month - 1]
         return DayInterval(date(v.year, v.month, 1), date(v.year, v.month, last))
     if kind is ValueKind.DATE:
         return DayInterval.single(date(v.year, v.month, v.day))

@@ -259,3 +259,12 @@ def test_bad_rule_op(capsys, tmp_path, command, question, old, new, message):
                          *question)
     assert_one_error_line(code, out, err)
     assert "plain-year" in err and message in err
+
+
+@pytest.mark.parametrize("command,question", [
+    ("answer", ""), ("classify", "   "), ("decompose", ""), ("tag", ""),
+])
+def test_blank_question_is_a_usage_error(capsys, command, question):
+    code, out, err = run(capsys, command, question)
+    assert_one_error_line(code, out, err)
+    assert err == "error: question is empty\n"  # no traceback

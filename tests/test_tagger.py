@@ -147,6 +147,17 @@ def test_resolve_relative_out_of_calendar():
         resolve_relative(30, "century", "past", REF)
 
 
+@pytest.mark.parametrize("lang,question,ref", [
+    ("en", "What happened in April 32?", date(31, 1, 1)),  # pivots to -68
+    ("en", "What happened in April 500?", date(50, 1, 1)),  # pivots to 0
+    ("es", "¿Qué pasó en los últimos años?", date(3, 1, 1)),
+])
+def test_expression_before_year_one_is_no_tag(en_pack, es_pack, lang,
+                                              question, ref):
+    pack = {"en": en_pack, "es": es_pack}[lang]
+    assert tag(question, pack, ref) == []
+
+
 def test_gold_injection_materializes_reference_example(en_pack):
     # the reference-date inference: "five decades ago" against 2008 lands in
     # the same decade as the gold annotation

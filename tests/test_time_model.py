@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import calendar
 import dataclasses
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tqa.errors import MalformedValue, UnanchoredValue
@@ -97,6 +98,17 @@ def test_year_month_interval_covers_month():
         date(1990, 8, 1), date(1990, 8, 31))
     assert to_interval(parse_value("2000-02")) == DayInterval(
         date(2000, 2, 1), date(2000, 2, 29))
+
+
+@given(st.integers(1, 9999), st.integers(1, 12))
+@example(1900, 2)
+@example(2000, 2)
+@example(2023, 2)
+@example(2024, 2)
+def test_year_month_interval_ends_on_the_months_last_day(year, month):
+    last = calendar.monthrange(year, month)[1]
+    assert (to_interval(TimeValue.of_year_month(year, month)).end
+            == date(year, month, last))
 
 
 def test_underspecified_has_no_interval():
