@@ -22,7 +22,7 @@ class UnanchoredValue(TqaError):
 
 
 class OutOfCalendar(TqaError):
-    """Date arithmetic produced a day before year 1."""
+    """Date arithmetic produced a day outside years 1-9999."""
 
 
 class UnsplittableQuestion(TqaError):

@@ -129,11 +129,12 @@ class LanguagePack:
 
     @cached_property
     def modifier_regex(self) -> re.Pattern:
-        """Quantity+unit phrase immediately before a signal ("four years")."""
+        """Quantity+unit phrase immediately before a signal ("four years"),
+        its number a whole word ("Russia years" holds none)."""
         numbers = "|".join([r"\d+"] + sorted(self.number_words, key=len,
                                              reverse=True))
         units = "|".join(sorted(self.unit_words, key=len, reverse=True))
-        return _compile(rf"(?P<mod>(?:{numbers})\s+(?:{units}))\s+$",
+        return _compile(rf"(?P<mod>(?<!\w)(?:{numbers})\s+(?:{units}))\s+$",
                         "modifier phrase of the number and unit words")
 
     # -- verb lexicon ------------------------------------------------------

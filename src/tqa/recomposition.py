@@ -8,27 +8,39 @@ is preserved throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import Diagnostic
 from .time_model import DayInterval, Relation, TimeValue, relation_holds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatedAnswer:
-    """A ranked candidate answer with an optional attached date."""
+    """A ranked candidate answer with an optional attached date.
+
+    ``interval`` is ``value.interval`` (None when undated or unanchored).
+    Its slot stays empty until the first read, which fills it, so loading
+    converts nothing and every later read is a plain slot read.
+    """
 
     text: str
     rank: int
     value: TimeValue | None = None
+    interval: DayInterval | None = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be positive")
 
-    @property
-    def interval(self) -> DayInterval | None:
-        return None if self.value is None else self.value.interval
+    def __getattr__(self, name):
+        # called only when normal lookup fails: here, an unfilled slot
+        if name != "interval":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        interval = None if self.value is None else self.value.interval
+        object.__setattr__(self, "interval", interval)
+        return interval
 
 
 @dataclass(frozen=True)
@@ -44,12 +56,8 @@ class ComplexAnswer:
 def filter_by_te(answers, constraint: DayInterval) -> list[DatedAnswer]:
     """Keep answers whose interval overlaps the constraint; undated answers
     pass through (they cannot be ruled out).  Order is preserved."""
-    kept = []
-    for answer in answers:
-        interval = answer.interval
-        if interval is None or interval.overlaps(constraint):
-            kept.append(answer)
-    return kept
+    return [answer for answer in answers
+            if answer.interval is None or answer.interval.overlaps(constraint)]
 
 
 def recompose(focus_answers, restriction_answers, key: Relation | None,
@@ -66,13 +74,13 @@ def recompose(focus_answers, restriction_answers, key: Relation | None,
     restriction = list(restriction_answers)
     constraints = list(te_constraints)
     diagnostics = []
-    # Undated answers survive every filter, so one scan before the first
-    # finds them all.
-    if constraints and any(a.interval is None for a in focus + restriction):
-        diagnostics.append(Diagnostic.UNDATED_PASSTHROUGH)
     for constraint in constraints:
         focus = filter_by_te(focus, constraint)
         restriction = filter_by_te(restriction, constraint)
+    # Undated answers survive every filter, so scanning the survivors finds
+    # them all.
+    if constraints and any(a.interval is None for a in focus + restriction):
+        diagnostics.append(Diagnostic.UNDATED_PASSTHROUGH)
 
     if key is None:
         return ComplexAnswer(tuple(focus), None, None, tuple(diagnostics))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import MAXYEAR, date, timedelta
 
 from .errors import MalformedValue, OutOfCalendar, PackInvalid
 from .packs import LanguagePack, TagRule
@@ -61,12 +61,12 @@ def resolve_relative(quantity: int, unit: str, direction: str,
     if unit == "month":
         months = ref.year * 12 + (ref.month - 1) + sign * quantity
         year, month = divmod(months, 12)
-        if year < 1:
+        if not 1 <= year <= MAXYEAR:
             raise OutOfCalendar(f"{quantity} months out of calendar")
         return TimeValue.of_year_month(year, month + 1)
     scale = {"year": 1, "decade": 10, "century": 100}[unit]
     target = ref.year + sign * scale * quantity
-    if target < 1:
+    if not 1 <= target <= MAXYEAR:
         raise OutOfCalendar(f"{quantity} {unit}s out of calendar")
     if unit == "year":
         return TimeValue.of_year(target)
@@ -171,7 +171,9 @@ def _op_month_number(m, rule, pack, ref):
             return None
     if year_text:  # "august 90 1990" is no expression
         return None
-    year = int(n) if n >= 1000 else _pivot_year(n % 100, ref)
+    if 100 <= n <= 999:  # "april 500" names no month
+        return None
+    year = n if n >= 1000 else _pivot_year(n, ref)
     if year < 1:  # a two-digit year pivoted before year 1
         return None
     return TimeValue.of_year_month(year, month)

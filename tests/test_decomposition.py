@@ -73,6 +73,23 @@ def test_modifier_signal_captured_but_flagged(en_pack):
     assert analysis.q_focus == "Who was the Prime Minister of Spain?"
 
 
+@pytest.mark.parametrize("lang,question,focus", [
+    ("en", "Who ruled Russia years after the revolution?",
+     "Who ruled Russia years?"),
+    ("en", "Who won the award often years after the war?",
+     "Who won the award often years?"),
+    ("es", "¿Quién pisó la Luna años después de que Gagarin volara al "
+     "espacio?", "¿Quién pisó la Luna años?"),
+])
+def test_offset_number_is_a_whole_word(en_pack, es_pack, lang, question,
+                                       focus):
+    pack = {"en": en_pack, "es": es_pack}[lang]
+    analysis = decompose(question, pack, REF)
+    assert analysis.signal.modifier is None
+    assert analysis.diagnostics == ()
+    assert analysis.q_focus == focus
+
+
 def test_trailing_connective_trimmed_from_focus(en_pack):
     q = ("Who was the Prime Minister of Spain just after the Columbia first "
          "flight in the 1980s?")

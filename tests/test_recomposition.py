@@ -3,6 +3,7 @@ day-enumeration oracle."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from datetime import date, timedelta
 
@@ -117,6 +118,68 @@ def test_recompose_preserves_backend_order():
     reference = [answer("r", 1, "1970")]
     result = recompose(focus, reference, Relation.BEFORE, [])
     assert texts(result) == ["a", "b", "c"]
+
+
+def test_recompose_undated_restriction_passthrough_diagnostic():
+    constraint = to_interval(parse_value("196"))
+    restriction = [answer("undated", 1), answer("1968", 2, "1968")]
+    result = recompose(STUDY_ANSWERS, restriction, Relation.BEFORE,
+                       [constraint])
+    assert result.restriction_answer == restriction[0]
+    assert result.diagnostics == (Diagnostic.UNDATED_PASSTHROUGH,
+                                  Diagnostic.UNDATED_ANSWER)
+
+
+def test_recompose_all_dated_has_no_passthrough_diagnostic():
+    constraint = to_interval(parse_value("196"))
+    result = recompose(STUDY_ANSWERS, RESTRICTION, Relation.BEFORE,
+                       [constraint])
+    assert texts(result) == ["Georgetown University"]
+    assert result.diagnostics == ()
+
+
+def test_dated_answer_has_no_instance_dict():
+    assert not hasattr(answer("1968", 1, "1968"), "__dict__")
+
+
+@pytest.mark.parametrize("value", [None, "XXXX-08-15", "1968", "196",
+                                   "1968-1970", "1968-10-05"])
+def test_dated_answer_interval_is_the_values(value):
+    dated = answer("x", 1, value)
+    want = None if value is None else parse_value(value).interval
+    assert dated.interval == want
+
+
+def test_dated_answer_equality_hash_and_repr_ignore_interval():
+    read, unread = answer("x", 1, "1968"), answer("x", 1, "1968")
+    assert read.interval is not None
+    assert read == unread and hash(read) == hash(unread)
+    assert repr(read) == repr(unread) and "interval" not in repr(read)
+    replaced = dataclasses.replace(read, value=parse_value("1970"))
+    assert replaced.interval == to_interval(parse_value("1970"))
+
+
+def test_dated_answer_interval_is_filled_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(value):
+        calls.append(value.canonical)
+        return to_interval(value)
+
+    monkeypatch.setattr("tqa.time_model.to_interval", counting)
+    dated = answer("x", 1, "1968")
+    slot = DatedAnswer.__dict__["interval"]
+    with pytest.raises(AttributeError):
+        slot.__get__(dated, DatedAnswer)
+    first = dated.interval
+    assert slot.__get__(dated, DatedAnswer) is first
+    assert dated.interval is first
+    assert calls == ["1968"]
+
+
+def test_dated_answer_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'date'"):
+        answer("x", 1, "1968").date
 
 
 def _interval_strategy(days=30):

@@ -147,6 +147,39 @@ def test_resolve_relative_out_of_calendar():
         resolve_relative(30, "century", "past", REF)
 
 
+@pytest.mark.parametrize("quantity,unit,ref", [
+    (3, "month", date(9999, 10, 1)),
+    (5, "year", date(9998, 1, 1)),
+    (1, "decade", date(9998, 1, 1)),
+    (1, "century", date(9998, 1, 1)),
+])
+def test_resolve_relative_future_past_year_9999(quantity, unit, ref):
+    with pytest.raises(OutOfCalendar):
+        resolve_relative(quantity, unit, "future", ref)
+
+
+@pytest.mark.parametrize("quantity,unit,ref,expected", [
+    (2, "month", date(9999, 10, 1), "9999-12"),
+    (1, "year", date(9998, 1, 1), "9999"),
+    (1, "decade", date(9989, 1, 1), "999"),
+    (1, "century", date(9899, 1, 1), "99"),
+])
+def test_resolve_relative_future_up_to_year_9999(quantity, unit, ref,
+                                                 expected):
+    value = resolve_relative(quantity, unit, "future", ref)
+    assert value.canonical == expected
+    assert value.interval.end == date(9999, 12, 31)
+
+
+@pytest.mark.parametrize("number,values", [
+    ("99", ["1999-04"]), ("100", []), ("150", []), ("500", []), ("999", []),
+    ("1000", ["1000-04"]),
+])
+def test_month_number_year_is_two_or_four_digits(en_pack, number, values):
+    tags = tag(f"What happened in April {number}?", en_pack, REF)
+    assert [t.value.canonical for t in tags] == values
+
+
 @pytest.mark.parametrize("lang,question,ref", [
     ("en", "What happened in April 32?", date(31, 1, 1)),  # pivots to -68
     ("en", "What happened in April 500?", date(50, 1, 1)),  # pivots to 0
