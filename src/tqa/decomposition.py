@@ -55,7 +55,7 @@ def _gap_is_determiners(gap: str, pack: LanguagePack) -> bool:
 
 def detect_signal(question: str, tes: list[TemporalExpressionTag],
                   pack: LanguagePack) -> SignalMatch | None:
-    """Leftmost event-linking signal; longest surface wins a shared start.
+    """Leftmost signal; longest surface wins a shared start.
 
     A match is discarded when it sits inside a temporal expression, when it
     opens the question (that is the interrogative, not a signal), or when
@@ -65,8 +65,6 @@ def detect_signal(question: str, tes: list[TemporalExpressionTag],
     first_word = _first_word_start(question)
     candidates = []
     for order, entry in enumerate(pack.signals):
-        if not entry.event_linking:
-            continue
         for m in entry.regex.finditer(question):
             if m.start() == first_word:
                 continue

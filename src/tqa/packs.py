@@ -27,8 +27,8 @@ DATA_DIR = Path(__file__).parent / "data"
 
 #: Canonical signal lexicon keys every pack must cover (translated surfaces).
 CORE_SIGNAL_BASES = frozenset({
-    "after", "when", "before", "during", "from_to", "about_range",
-    "on_in", "while", "for", "at_the_time_of", "since",
+    "after", "when", "before", "during", "while", "for", "at_the_time_of",
+    "since",
 })
 
 #: Clause template kinds understood by the question splitter.
@@ -45,8 +45,13 @@ def _compile(pattern: str, what: str) -> re.Pattern:
 
 
 def _bounded(pattern: str, what: str) -> re.Pattern:
-    """Compile a rule or signal pattern with word boundaries."""
-    return _compile(rf"(?<!\w)(?:{pattern})(?!\w)", what)
+    """Compile a rule or signal pattern with word boundaries; one that
+    matches the empty string would tag or split at a point, so it is
+    invalid."""
+    regex = _compile(rf"(?<!\w)(?:{pattern})(?!\w)", what)
+    if regex.match(""):
+        raise PackInvalid(f"{what}: pattern matches the empty string")
+    return regex
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,6 @@ class SignalEntry:
     base: str
     pattern: str
     relation: Relation
-    event_linking: bool = True
-    verified: bool = True
 
     @cached_property
     def regex(self) -> re.Pattern:
@@ -104,7 +107,6 @@ class LanguagePack:
 
     code: str
     name: str
-    when_word: str
     wh_words: tuple[str, ...]
     signals: tuple[SignalEntry, ...]
     te_rules: tuple[TagRule, ...]
@@ -126,6 +128,7 @@ class LanguagePack:
     ordinal_words: dict[str, int]
     decade_words: dict[str, int]
     unit_words: dict[str, str]
+    conjunctions: frozenset[str]
 
     @cached_property
     def modifier_regex(self) -> re.Pattern:
@@ -188,7 +191,7 @@ class LanguagePack:
             return int(text)
         values = []
         for token in re.split(r"[\s-]+", text.casefold()):
-            if token in ("y", "and", ""):
+            if not token or token in self.conjunctions:
                 continue
             if token not in self.number_words:
                 return None
@@ -205,10 +208,6 @@ def validate_pack(pack: LanguagePack) -> LanguagePack:
     """Enforce pack invariants; raise PackInvalid naming the first violation."""
     if not pack.code:
         raise PackInvalid("pack code is empty")
-    if not pack.when_word:
-        raise PackInvalid("pack has no designated when-interrogative")
-    if pack.when_word.casefold() not in {w.casefold() for w in pack.wh_words}:
-        raise PackInvalid("when-interrogative missing from wh-word lexicon")
     bases = {entry.base for entry in pack.signals}
     missing = CORE_SIGNAL_BASES - bases
     if missing:
@@ -245,6 +244,16 @@ def compile_patterns(pack: LanguagePack) -> None:
 _BOOL = {"1": True, "0": False, "true": True, "false": False}
 
 
+def _flag(el, attr: str, default: str, what: str) -> bool:
+    """A boolean attribute; a value outside ``_BOOL`` raises PackInvalid
+    naming ``what`` it belongs to."""
+    value = el.get(attr, default)
+    if value not in _BOOL:
+        raise PackInvalid(f"{what}: {attr}={value!r} is not one of "
+                          "0, 1, true, false")
+    return _BOOL[value]
+
+
 def _words(parent, tag, words):
     el = ET.SubElement(parent, tag)
     el.text = " ".join(words)
@@ -259,16 +268,13 @@ def _read_words(root, tag):
 
 
 def serialize_pack(pack: LanguagePack) -> bytes:
-    root = ET.Element("PACK", code=pack.code, name=pack.name,
-                      when=pack.when_word)
+    root = ET.Element("PACK", code=pack.code, name=pack.name)
     _words(root, "WHWORDS", pack.wh_words)
 
     signals = ET.SubElement(root, "SIGNALS")
     for entry in pack.signals:
         el = ET.SubElement(signals, "SIGNAL", base=entry.base,
-                           relation=entry.relation.value,
-                           event="1" if entry.event_linking else "0",
-                           verified="1" if entry.verified else "0")
+                           relation=entry.relation.value)
         el.text = entry.pattern
 
     rules = ET.SubElement(root, "TERULES")
@@ -314,6 +320,8 @@ def serialize_pack(pack: LanguagePack) -> bytes:
                           value=str(value))
     for key, value in sorted(pack.unit_words.items()):
         ET.SubElement(lexicon, "ENTRY", kind="unit", key=key, value=value)
+    for key in sorted(pack.conjunctions):
+        ET.SubElement(lexicon, "ENTRY", kind="conjunction", key=key)
 
     tree = ET.ElementTree(root)
     ET.indent(tree, space="  ")
@@ -334,12 +342,11 @@ def load_pack(source) -> LanguagePack:
         except ValueError:
             raise PackInvalid(f"signal {base!r}: unknown relation "
                               f"{relation!r}") from None
-        signals.append(SignalEntry(
-            base=base,
-            pattern=(el.text or "").strip(),
-            relation=relation,
-            event_linking=_BOOL.get(el.get("event", "1"), True),
-            verified=_BOOL.get(el.get("verified", "1"), True)))
+        if not _flag(el, "event", "1", f"signal {base!r}"):
+            raise PackInvalid(f'signal {base!r}: event="0" is no signal; '
+                              "a signal links two events")
+        signals.append(SignalEntry(base=base, pattern=(el.text or "").strip(),
+                                   relation=relation))
 
     te_rules = []
     for el in root.findall("TERULES/RULE"):
@@ -357,7 +364,8 @@ def load_pack(source) -> LanguagePack:
     verb_table = {el.get("from", ""): el.get("to", "")
                   for el in verbs.findall("FORM")}
     suffix_rules = tuple((el.get("from", ""), el.get("to", ""),
-                          _BOOL.get(el.get("checked", "0"), False))
+                          _flag(el, "checked", "0",
+                                f"suffix {el.get('from', '')!r}"))
                          for el in verbs.findall("SUFFIX"))
 
     templates = []
@@ -370,12 +378,15 @@ def load_pack(source) -> LanguagePack:
             pattern=(pattern_el.text or "") if pattern_el is not None else None))
 
     months, numbers, ordinals, decades, units = {}, {}, {}, {}, {}
+    conjunctions = set()
     tables = {"month": months, "number": numbers, "ordinal": ordinals,
               "decade": decades}
     for el in root.findall("LEXICON/ENTRY"):
         kind, key, value = el.get("kind"), el.get("key", ""), el.get("value", "")
         if kind == "unit":
             units[key] = value
+        elif kind == "conjunction":
+            conjunctions.add(key)
         elif kind in tables:
             try:
                 tables[kind][key] = int(value)
@@ -388,7 +399,6 @@ def load_pack(source) -> LanguagePack:
     pack = LanguagePack(
         code=root.get("code", ""),
         name=root.get("name", ""),
-        when_word=root.get("when", ""),
         wh_words=_read_words(root, "WHWORDS"),
         signals=tuple(signals),
         te_rules=tuple(te_rules),
@@ -411,6 +421,7 @@ def load_pack(source) -> LanguagePack:
         ordinal_words=ordinals,
         decade_words=decades,
         unit_words=units,
+        conjunctions=frozenset(conjunctions),
     )
     return validate_pack(pack)
 

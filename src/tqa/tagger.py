@@ -224,7 +224,8 @@ _OPS = {
 
 def rule_op(rule: TagRule):
     """The normalization function of a rule; PackInvalid when the op is
-    unknown or the rule's pattern lacks a group the op requires."""
+    unknown, the rule's pattern lacks a group the op requires or a
+    ``literal`` rule's ARG value does not parse."""
     if rule.op not in _OPS:
         raise PackInvalid(f"rule {rule.name!r}: unknown op {rule.op!r}")
     op, groups = _OPS[rule.op]
@@ -232,6 +233,11 @@ def rule_op(rule: TagRule):
     if missing:
         raise PackInvalid(f"rule {rule.name!r}: op {rule.op!r} requires "
                           f"pattern group(s) {', '.join(missing)}")
+    if op is _op_literal:
+        try:
+            parse_value(rule.arg("value"))
+        except MalformedValue as exc:
+            raise PackInvalid(f"rule {rule.name!r}: ARG value: {exc}") from None
     return op
 
 

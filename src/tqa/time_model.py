@@ -34,7 +34,6 @@ class Relation(enum.Enum):
     BEFORE = "BEFORE"              # F1 < F2
     SIMULTANEOUS = "SIMULTANEOUS"  # F1 = F2
     WITHIN = "WITHIN"              # F2i <= F1 <= F2f
-    SPAN = "SPAN"                  # "from E2 to E3": read as WITHIN
 
 
 class ValueKind(enum.Enum):
@@ -277,8 +276,7 @@ def relation_holds(key: Relation, f1: DayInterval, f2: DayInterval) -> bool:
     """Evaluate an ordering relation between day intervals.
 
     Point formulas generalize to intervals through their start days for
-    the strict orders and equality; period relations (WITHIN, SPAN) use
-    overlap.
+    the strict orders and equality; WITHIN uses overlap.
     """
     if key is Relation.AFTER:
         return f1.start > f2.start

@@ -240,7 +240,7 @@ def test_criterion_6_oracle_equivalence():
         return DayInterval(base + timedelta(days=a), base + timedelta(days=b))
 
     keys = [None, Relation.AFTER, Relation.BEFORE, Relation.SIMULTANEOUS,
-            Relation.WITHIN, Relation.SPAN]
+            Relation.WITHIN]
     for key in keys:
         for _ in range(1000):
             focus_spec = [(f"a{i}", rand_interval() if rng.random() > 0.1
@@ -254,9 +254,8 @@ def test_criterion_6_oracle_equivalence():
                            for i, (t, iv) in enumerate(restriction_spec)]
             got = [a.text for a in recompose(focus, restriction, key,
                                              constraints).answers]
-            oracle_key = Relation.WITHIN if key is Relation.SPAN else key
-            want = _DayOracle.recompose(focus_spec, restriction_spec,
-                                        oracle_key, constraints)
+            want = _DayOracle.recompose(focus_spec, restriction_spec, key,
+                                        constraints)
             assert got == want, (key, focus_spec, restriction_spec,
                                  constraints)
     print("ACCEPTANCE 6 (oracle equivalence, 1000 instances x "
@@ -304,8 +303,7 @@ def test_criterion_7_round_trips(en_pack, es_pack, testbed_en, testbed_es,
 
     for i in range(100):
         extra = SignalEntry(base=f"syn{i}", pattern=f"pattern {i}",
-                            relation=rng.choice(list(Relation)),
-                            event_linking=bool(i % 2), verified=bool(i % 3))
+                            relation=rng.choice(list(Relation)))
         mutated = replace(en_pack, signals=en_pack.signals + (extra,),
                           stopwords=en_pack.stopwords | {f"w{i}"})
         assert load_pack(serialize_pack(mutated)) == mutated

@@ -210,13 +210,16 @@ def test_pack_validate_unknown_relation(capsys, tmp_path, en_pack):
     assert "LATER" in err
 
 
-def _uncompilable_this_year_pack(directory):
+def _edited_pack(directory, old, new):
     doc = (DATA_DIR / "en.xml").read_bytes()
-    old = b"<PATTERN>this year</PATTERN>"
     assert doc.count(old) == 1
-    (directory / "en.xml").write_bytes(
-        doc.replace(old, b"<PATTERN>this (year</PATTERN>"))
+    (directory / "en.xml").write_bytes(doc.replace(old, new))
     return str(directory)
+
+
+def _uncompilable_this_year_pack(directory):
+    return _edited_pack(directory, b"<PATTERN>this year</PATTERN>",
+                        b"<PATTERN>this (year</PATTERN>")
 
 
 def test_pack_validate_uncompilable_pattern(capsys, tmp_path):
@@ -259,6 +262,42 @@ def test_bad_rule_op(capsys, tmp_path, command, question, old, new, message):
                          *question)
     assert_one_error_line(code, out, err)
     assert "plain-year" in err and message in err
+
+
+@pytest.mark.parametrize("command,question", [
+    ("pack-validate", ()), ("tag", ("Who won in 1990?",)),
+    ("answer", ("Where did Bill Clinton study before going to Oxford "
+                "University?",)),
+], ids=["pack-validate", "tag", "answer"])
+def test_empty_pattern_is_invalid(capsys, tmp_path, command, question):
+    pack_dir = _edited_pack(tmp_path, b"<PATTERN>this year</PATTERN>",
+                            b"<PATTERN></PATTERN>")
+    code, out, err = run(capsys, command, "--lang", "en", "--pack", pack_dir,
+                         *question)
+    assert_one_error_line(code, out, err)
+    assert "this-year" in err and "empty string" in err
+
+
+def test_empty_signal_is_invalid(capsys, tmp_path):
+    pack_dir = _edited_pack(tmp_path, b'relation="AFTER">after</SIGNAL>',
+                            b'relation="AFTER"></SIGNAL>')
+    code, out, err = run(capsys, "pack-validate", "--lang", "en", "--pack",
+                         pack_dir)
+    assert_one_error_line(code, out, err)
+    assert "signal 'after'" in err
+
+
+@pytest.mark.parametrize("command,question", [
+    ("pack-validate", ()), ("tag", ("Who won in the second millennium year?",)),
+    ("answer", ("Who won in the second millennium year?",)),
+], ids=["pack-validate", "tag", "answer"])
+def test_literal_rule_without_value_is_invalid(capsys, tmp_path, command,
+                                               question):
+    pack_dir = _edited_pack(tmp_path, b'<ARG key="value">2000</ARG>', b"")
+    code, out, err = run(capsys, command, "--lang", "en", "--pack", pack_dir,
+                         *question)
+    assert_one_error_line(code, out, err)
+    assert "millennium-year" in err
 
 
 @pytest.mark.parametrize("command,question", [

@@ -156,6 +156,18 @@ def test_locative_in_is_never_a_signal(en_pack):
     assert analysis.qtype == 2
 
 
+@pytest.mark.parametrize("lang, question", [
+    ("en", "Where did Bill Clinton live in Arkansas?"),
+    ("es", "¿Dónde vivió Bill Clinton en Arkansas?"),
+])
+def test_locative_in_splits_no_simple_question(en_pack, es_pack, lang,
+                                               question):
+    pack = {"en": en_pack, "es": es_pack}[lang]
+    analysis = decompose(question, pack, REF)
+    assert analysis.qtype == 1
+    assert analysis.signal is None
+
+
 def test_leftmost_signal_wins(en_pack):
     q = ("Who was the king of Spain after Charles IV reigned Spain during "
          "the eighteenth century?")

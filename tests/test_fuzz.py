@@ -18,13 +18,19 @@ from tqa.tagger import tag
 LANGS = ("en", "es")
 
 
+#: Prepositions that open a temporal expression or a place ("in 1990", "en
+#: Arkansas") but split no question; generated questions keep them.
+MARKERS = {"en": ("about", "from", "in", "on", "to"),
+           "es": ("alrededor", "desde", "en", "hasta")}
+
+
 def pack_words(pack) -> list[str]:
     """Signal, wh-, number and month words of a pack (plus its ordinal,
-    decade and unit words), the vocabulary the tagger and splitter key
-    on."""
+    decade and unit words and the ``MARKERS``), the vocabulary the tagger
+    and splitter key on."""
     signal_words = {word for entry in pack.signals
                     for word in re.findall(r"[^\W\d_]{2,}", entry.pattern)}
-    return sorted(signal_words | {pack.when_word} | set(pack.wh_words)
+    return sorted(signal_words | set(MARKERS[pack.code]) | set(pack.wh_words)
                   | set(pack.number_words) | set(pack.months)
                   | set(pack.ordinal_words) | set(pack.decade_words)
                   | set(pack.unit_words))

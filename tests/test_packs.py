@@ -80,7 +80,7 @@ def test_non_integer_lexicon_value_is_invalid(en_pack):
 @pytest.mark.parametrize("old, new, named", [
     (b"<PATTERN>this year</PATTERN>", b"<PATTERN>this (year</PATTERN>",
      "rule 'this-year'"),
-    (b'verified="1">after</SIGNAL>', b'verified="1">after (</SIGNAL>',
+    (b'relation="AFTER">after</SIGNAL>', b'relation="AFTER">after (</SIGNAL>',
      "signal 'after'"),
     (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;(was", "aux clause template"),
     (b'key="two" value="2"', b'key="two (" value="2"', "modifier phrase"),
@@ -93,6 +93,59 @@ def test_pattern_that_does_not_compile_is_invalid(en_pack, old, new, named):
         compile_patterns(pack)
 
 
+@pytest.mark.parametrize("old, new, named", [
+    (b"<PATTERN>this year</PATTERN>", b"<PATTERN></PATTERN>",
+     "rule 'this-year'"),
+    (b'relation="AFTER">after</SIGNAL>', b'relation="AFTER"></SIGNAL>',
+     "signal 'after'"),
+    (b"<PATTERN>this year</PATTERN>", b"<PATTERN>(?:this year)?</PATTERN>",
+     "rule 'this-year'"),
+])
+def test_pattern_that_matches_the_empty_string_is_invalid(en_pack, old, new,
+                                                          named):
+    doc = serialize_pack(en_pack)
+    assert doc.count(old) == 1
+    pack = load_pack(doc.replace(old, new))
+    with pytest.raises(PackInvalid, match=re.escape(named) + ".*empty string"):
+        compile_patterns(pack)
+
+
+def test_signal_that_links_no_event_is_invalid(en_pack):
+    doc = serialize_pack(en_pack).replace(
+        b'<SIGNAL base="since" relation="AFTER">',
+        b'<SIGNAL base="since" relation="AFTER" event="0">')
+    with pytest.raises(PackInvalid, match="signal 'since'.*event"):
+        load_pack(doc)
+
+
+def test_span_relation_is_invalid(en_pack):
+    doc = serialize_pack(en_pack).replace(
+        b'<SIGNAL base="since" relation="AFTER">',
+        b'<SIGNAL base="since" relation="SPAN">')
+    with pytest.raises(PackInvalid, match="signal 'since'.*'SPAN'"):
+        load_pack(doc)
+
+
+def test_leftover_attributes_are_ignored(en_pack):
+    doc = serialize_pack(en_pack)
+    old = doc.replace(b'<PACK code="en" name="English">',
+                      b'<PACK code="en" name="English" when="when">')
+    old = old.replace(b'relation="AFTER">after</SIGNAL>',
+                      b'relation="AFTER" event="1" verified="0">after</SIGNAL>')
+    assert old != doc
+    assert load_pack(old) == en_pack
+
+
+@pytest.mark.parametrize("value", ["yes", "", "2", "True"])
+def test_boolean_attribute_is_strict(en_pack, value):
+    doc = serialize_pack(en_pack)
+    old = b'<SUFFIX from="ied" to="y" checked="1" />'
+    assert doc.count(old) == 1
+    new = old.replace(b'"1"', f'"{value}"'.encode())
+    with pytest.raises(PackInvalid, match="suffix 'ied'.*checked"):
+        load_pack(doc.replace(old, new))
+
+
 def test_round_trip_randomized(en_pack):
     rng = random.Random(42)
     for _ in range(100):
@@ -100,9 +153,7 @@ def test_round_trip_randomized(en_pack):
         rng.shuffle(signals)
         extra = SignalEntry(base=f"syn{rng.randrange(999)}",
                             pattern=rng.choice(["as soon as", "once", "upon"]),
-                            relation=rng.choice(list(Relation)),
-                            event_linking=rng.random() < 0.5,
-                            verified=rng.random() < 0.5)
+                            relation=rng.choice(list(Relation)))
         mutated = dataclasses.replace(
             en_pack,
             signals=tuple(signals) + (extra,),
@@ -117,18 +168,6 @@ def test_pack_dir_loading(tmp_path, es_pack):
     assert get_pack("es", tmp_path) == es_pack
     with pytest.raises(PackInvalid, match="no pack file"):
         get_pack("fr", tmp_path)
-
-
-def test_missing_when_word_is_invalid(en_pack):
-    broken = dataclasses.replace(en_pack, when_word="")
-    with pytest.raises(PackInvalid):
-        validate_pack(broken)
-
-
-def test_when_word_must_be_a_wh_word(en_pack):
-    broken = dataclasses.replace(en_pack, when_word="tomorrow")
-    with pytest.raises(PackInvalid):
-        validate_pack(broken)
 
 
 def test_missing_core_signal_is_invalid(en_pack):
@@ -188,3 +227,13 @@ def test_number_parsing(en_pack, es_pack):
     assert es_pack.parse_number("mil novecientos noventa y ocho") == 1998
     assert es_pack.parse_number("trece") == 13
     assert en_pack.parse_number("banana") is None
+
+
+def test_conjunctions_are_pack_data(en_pack, es_pack):
+    assert en_pack.conjunctions == {"and"}
+    assert es_pack.conjunctions == {"y"}
+    assert es_pack.parse_number("mil ochocientos cincuenta y cinco") == 1855
+    assert en_pack.parse_number("mil ochocientos cincuenta y cinco") is None
+    bare = dataclasses.replace(es_pack, conjunctions=frozenset())
+    assert bare.parse_number("mil ochocientos cincuenta y cinco") is None
+    assert bare.parse_number("mil ochocientos cincuenta cinco") == 1855
