@@ -33,13 +33,14 @@ from .packs import compile_patterns, get_pack
 DEFAULT_REF = date(2008, 1, 1)
 
 
-def _add_common(parser):
+def _add_common(parser, ref=True):
     parser.add_argument("--lang", default="en",
                         help="language pack code (default: en)")
     parser.add_argument("--pack", metavar="DIR",
                         help="directory with <lang>.xml pack files")
-    parser.add_argument("--ref", metavar="YYYY-MM-DD",
-                        help="reference date for deictic expressions")
+    if ref:
+        parser.add_argument("--ref", metavar="YYYY-MM-DD",
+                            help="reference date for deictic expressions")
 
 
 def _resolve_ref(args, fallback=None) -> date:
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("question")
 
     p = commands.add_parser("eval", help="run the evaluation harness")
-    _add_common(p)
+    _add_common(p, ref=False)
     p.add_argument("--testbed", metavar="FILE",
                    help="testbed XML (default: testbed shipped for --lang)")
     p.add_argument("--fixtures", metavar="FILE",

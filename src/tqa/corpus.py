@@ -1,4 +1,5 @@
-"""Testbed XML: gold question records and system output records.
+"""Testbed XML: gold question records, and a system decomposition as a Q
+block.
 
 A testbed is a TESTBED element (attributes ``lang`` and ``ref``) holding Q
 blocks:
@@ -13,8 +14,8 @@ blocks:
       <ANSWER>Anna Magnani</ANSWER>
     </Q>
 
-System output records reuse the layout minus ANSWER, plus a SYS-ANSWERS
-list.  TE values are validated against the canonical grammar (brackets
+A system decomposition renders as the same layout minus ANSWER.  TE
+values are validated against the canonical grammar (brackets
 tolerated) but stored verbatim, so loading and writing round-trip.
 """
 
@@ -183,17 +184,6 @@ def decomposition_to_element(analysis: DecomposedQuestion,
         ET.SubElement(el, "SIGNAL").text = analysis.signal.surface
         ET.SubElement(el, "Q-FOCUS").text = analysis.q_focus
         ET.SubElement(el, "Q-REST").text = analysis.q_restriction
-    return el
-
-
-def system_record_element(analysis: DecomposedQuestion, answers,
-                          qid: int = 1) -> ET.Element:
-    """Q block plus the system's ranked answers (no gold ANSWER)."""
-    el = decomposition_to_element(analysis, qid)
-    sys_answers = ET.SubElement(el, "SYS-ANSWERS")
-    for answer in answers:
-        a = ET.SubElement(sys_answers, "SYS-A", rank=str(answer.rank))
-        a.text = answer.text
     return el
 
 

@@ -18,9 +18,8 @@ from .time_model import DayInterval, Relation, TimeValue, relation_holds
 class DatedAnswer:
     """A ranked candidate answer with an optional attached date.
 
-    ``interval`` is ``value.interval`` (None when undated or unanchored).
-    Its slot stays empty until the first read, which fills it, so loading
-    converts nothing and every later read is a plain slot read.
+    ``interval`` is ``value.interval`` (None when undated or unanchored),
+    copied into the answer's own slot when it is made.
     """
 
     text: str
@@ -32,15 +31,8 @@ class DatedAnswer:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be positive")
-
-    def __getattr__(self, name):
-        # called only when normal lookup fails: here, an unfilled slot
-        if name != "interval":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        interval = None if self.value is None else self.value.interval
-        object.__setattr__(self, "interval", interval)
-        return interval
+        object.__setattr__(self, "interval", None if self.value is None
+                           else self.value.interval)
 
 
 @dataclass(frozen=True)

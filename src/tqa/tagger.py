@@ -112,14 +112,14 @@ def _op_literal(m, rule, pack, ref):
 
 def _op_year(m, rule, pack, ref):
     year = _year_from_text(m.group("y"), pack, ref)
-    if year is None or year < 1:
+    if year is None or not 1 <= year <= MAXYEAR:
         return None
     return TimeValue.of_year(year)
 
 
 def _op_year_range(m, rule, pack, ref):
     a, b = int(m.group("a")), int(m.group("b"))
-    if a > b:
+    if not 1 <= a <= b <= MAXYEAR:
         return None
     return TimeValue.of_range(TimeValue.of_year(a), TimeValue.of_year(b))
 
@@ -163,18 +163,18 @@ def _op_month_number(m, rule, pack, ref):
         if year_text:
             try:
                 return TimeValue.of_date(int(year_text), month, n)
-            except (ValueError, MalformedValue):
+            except MalformedValue:
                 return None
         try:
             return TimeValue.of_month_day(month, n)
-        except (ValueError, MalformedValue):
+        except MalformedValue:
             return None
     if year_text:  # "august 90 1990" is no expression
         return None
     if 100 <= n <= 999:  # "april 500" names no month
         return None
     year = n if n >= 1000 else _pivot_year(n, ref)
-    if year < 1:  # a two-digit year pivoted before year 1
+    if not 1 <= year <= MAXYEAR:  # pivoted before year 1, or past 9999
         return None
     return TimeValue.of_year_month(year, month)
 

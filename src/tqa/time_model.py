@@ -12,16 +12,18 @@ Value grammar (all productions, nothing else parses):
     [V1-V2]       accepted on input, emitted as V1-V2
 
 Calendar is proleptic Gregorian at day granularity; every anchored value
-maps to the tightest ``DayInterval`` covering the days it denotes.
+maps to the tightest ``DayInterval`` covering the days it denotes.  A
+``TimeValue`` is its canonical string and that interval, both set by
+``_parse`` when the value is made; ``_parse`` holds every production and
+every range check of the grammar.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
-from functools import cached_property
 
 from .errors import MalformedValue, UnanchoredValue
 
@@ -34,16 +36,6 @@ class Relation(enum.Enum):
     BEFORE = "BEFORE"              # F1 < F2
     SIMULTANEOUS = "SIMULTANEOUS"  # F1 = F2
     WITHIN = "WITHIN"              # F2i <= F1 <= F2f
-
-
-class ValueKind(enum.Enum):
-    YEAR = "YEAR"
-    DECADE_PREFIX = "DECADE_PREFIX"
-    CENTURY_PREFIX = "CENTURY_PREFIX"
-    YEAR_MONTH = "YEAR_MONTH"
-    DATE = "DATE"
-    UNDERSPECIFIED_DATE = "UNDERSPECIFIED_DATE"
-    RANGE = "RANGE"
 
 
 @dataclass(frozen=True)
@@ -61,10 +53,6 @@ class DayInterval:
     def of_year(cls, year: int) -> "DayInterval":
         return cls(date(year, 1, 1), date(year, 12, 31))
 
-    @classmethod
-    def single(cls, day: date) -> "DayInterval":
-        return cls(day, day)
-
     def overlaps(self, other: "DayInterval") -> bool:
         return self.start <= other.end and other.start <= self.end
 
@@ -74,202 +62,131 @@ class DayInterval:
 # February outside a Gregorian leap year).
 _MAX_DAY = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
-
-@dataclass(frozen=True)
-class TimeValue:
-    """One value of the canonical grammar, with parsed components.
-
-    Component use by kind: YEAR -> year; DECADE_PREFIX / CENTURY_PREFIX ->
-    prefix; YEAR_MONTH -> year, month; DATE -> year, month, day;
-    UNDERSPECIFIED_DATE -> month, day; RANGE -> low, high.
-    """
-
-    kind: ValueKind
-    year: int | None = None
-    month: int | None = None
-    day: int | None = None
-    prefix: int | None = None
-    low: "TimeValue | None" = None
-    high: "TimeValue | None" = None
-
-    def __post_init__(self):
-        kind = self.kind
-        if kind is ValueKind.YEAR:
-            self._need(self.year is not None and self.year >= 1, "year >= 1")
-        elif kind is ValueKind.DECADE_PREFIX:
-            self._need(self.prefix is not None and 1 <= self.prefix <= 999,
-                       "decade prefix in 1..999")
-        elif kind is ValueKind.CENTURY_PREFIX:
-            self._need(self.prefix is not None and 1 <= self.prefix <= 99,
-                       "century prefix in 1..99")
-        elif kind is ValueKind.YEAR_MONTH:
-            self._need(self.year is not None and self.year >= 1, "year >= 1")
-            self._need(self.month is not None and 1 <= self.month <= 12,
-                       "month in 1..12")
-        elif kind is ValueKind.DATE:
-            self._need(self.year is not None and self.year >= 1, "year >= 1")
-            date(self.year, self.month, self.day)
-        elif kind is ValueKind.UNDERSPECIFIED_DATE:
-            self._need(self.month is not None and 1 <= self.month <= 12,
-                       "month in 1..12")
-            self._need(self.day is not None
-                       and 1 <= self.day <= _MAX_DAY[self.month - 1],
-                       "valid day for month")
-        elif kind is ValueKind.RANGE:
-            self._need(self.low is not None and self.high is not None,
-                       "range bounds present")
-            yearlike = (ValueKind.YEAR, ValueKind.DECADE_PREFIX,
-                        ValueKind.CENTURY_PREFIX)
-            self._need(self.low.kind in yearlike and self.high.kind in yearlike,
-                       "range bounds are year-like")
-            self._need(to_interval(self.low).start <= to_interval(self.high).end,
-                       "range low starts no later than high ends")
-            # "YYYY-NN" with NN <= 12 already means a calendar month, so a
-            # year-to-century range that would print that way cannot exist
-            self._need(not (self.low.kind is ValueKind.YEAR
-                            and self.high.kind is ValueKind.CENTURY_PREFIX
-                            and self.high.prefix <= 12),
-                       "range distinguishable from a calendar month")
-
-    def _need(self, condition, what):
-        if not condition:
-            raise MalformedValue(f"{self.kind.value}: expected {what}")
-
-    @property
-    def canonical(self) -> str:
-        return format_value(self)
-
-    @cached_property
-    def interval(self) -> DayInterval | None:
-        """``to_interval(self)``, computed on first access and kept; None
-        for a value without an absolute year."""
-        try:
-            return to_interval(self)
-        except UnanchoredValue:
-            return None
-
-    @classmethod
-    def of_year(cls, year: int) -> "TimeValue":
-        return cls(ValueKind.YEAR, year=year)
-
-    @classmethod
-    def of_decade(cls, prefix: int) -> "TimeValue":
-        return cls(ValueKind.DECADE_PREFIX, prefix=prefix)
-
-    @classmethod
-    def of_century(cls, prefix: int) -> "TimeValue":
-        return cls(ValueKind.CENTURY_PREFIX, prefix=prefix)
-
-    @classmethod
-    def of_year_month(cls, year: int, month: int) -> "TimeValue":
-        return cls(ValueKind.YEAR_MONTH, year=year, month=month)
-
-    @classmethod
-    def of_date(cls, year: int, month: int, day: int) -> "TimeValue":
-        return cls(ValueKind.DATE, year=year, month=month, day=day)
-
-    @classmethod
-    def of_month_day(cls, month: int, day: int) -> "TimeValue":
-        return cls(ValueKind.UNDERSPECIFIED_DATE, month=month, day=day)
-
-    @classmethod
-    def of_range(cls, low: "TimeValue", high: "TimeValue") -> "TimeValue":
-        return cls(ValueKind.RANGE, low=low, high=high)
+_DATE_RE = re.compile(r"(\d{4}|XXXX)-(\d{2})-(\d{2})")
+_YEAR_MONTH_RE = re.compile(r"(\d{4})-(\d{2})")
+_YEARLIKE_RE = re.compile(r"(\d{2,4})(?:-(\d{2,4}))?")
 
 
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
-_UNDERSPEC_RE = re.compile(r"^XXXX-(\d{2})-(\d{2})$")
-_YEAR_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
-_RANGE_RE = re.compile(r"^(\d{2,4})-(\d{2,4})$")
-_YEARLIKE_KINDS = {4: ValueKind.YEAR, 3: ValueKind.DECADE_PREFIX,
-                   2: ValueKind.CENTURY_PREFIX}
-
-
-def _parse_yearlike(text: str) -> TimeValue:
-    kind = _YEARLIKE_KINDS[len(text)]
-    n = int(text)
-    try:
-        if kind is ValueKind.YEAR:
-            return TimeValue.of_year(n)
-        if kind is ValueKind.DECADE_PREFIX:
-            return TimeValue.of_decade(n)
-        return TimeValue.of_century(n)
-    except MalformedValue as exc:
-        raise MalformedValue(f"{text!r}: {exc}") from None
-
-
-def parse_value(text: str) -> TimeValue:
-    """Parse a canonical value string; '[A-B]' normalizes to the range A-B."""
+def _parse(text: str) -> tuple[str, DayInterval | None]:
+    """The canonical form of a value string and the tightest day interval
+    covering the days it denotes (None for ``XXXX-MM-DD``).  Digits are
+    read as numbers and printed back in ASCII, and '[A-B]' becomes A-B."""
     if not text:
         raise MalformedValue("empty value string")
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        inner = parse_value(body[1:-1])
-        if inner.kind is not ValueKind.RANGE:
-            raise MalformedValue(f"{text!r}: brackets enclose a non-range")
-        return inner
+    body, bracketed = text.strip(), False
+    while body.startswith("[") and body.endswith("]"):
+        body, bracketed = body[1:-1].strip(), True
+    day_match = _DATE_RE.fullmatch(body)
+    month_match = _YEAR_MONTH_RE.fullmatch(body)
+    if month_match and not 1 <= int(month_match[2]) <= 12:
+        month_match = None  # "1250-13" is a year-to-century range
+    yearlike = _YEARLIKE_RE.fullmatch(body)
+    # brackets may enclose only a range of two year-like values
+    if bracketed and (month_match or not yearlike or not yearlike[2]):
+        raise MalformedValue(f"{text!r}: brackets enclose a non-range")
     try:
-        m = _DATE_RE.match(body)
-        if m:
-            return TimeValue.of_date(int(m.group(1)), int(m.group(2)),
-                                     int(m.group(3)))
-        m = _UNDERSPEC_RE.match(body)
-        if m:
-            return TimeValue.of_month_day(int(m.group(1)), int(m.group(2)))
-        m = _YEAR_MONTH_RE.match(body)
-        if m and 1 <= int(m.group(2)) <= 12:
-            return TimeValue.of_year_month(int(m.group(1)), int(m.group(2)))
-        m = _RANGE_RE.match(body)
-        if m:
-            return TimeValue.of_range(_parse_yearlike(m.group(1)),
-                                      _parse_yearlike(m.group(2)))
-        if re.fullmatch(r"\d{2,4}", body):
-            return _parse_yearlike(body)
-    except MalformedValue:
-        raise
+        if day_match:
+            year, month, day = day_match.groups()
+            month, day = int(month), int(day)
+            if year == "XXXX":
+                if not (1 <= month <= 12 and 1 <= day <= _MAX_DAY[month - 1]):
+                    raise ValueError("no such month and day")
+                return f"XXXX-{month:02d}-{day:02d}", None
+            the_day = date(int(year), month, day)
+            return the_day.isoformat(), DayInterval(the_day, the_day)
+        if month_match:
+            year, month = int(month_match[1]), int(month_match[2])
+            leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+            last = 28 if month == 2 and not leap else _MAX_DAY[month - 1]
+            return f"{year:04d}-{month:02d}", DayInterval(
+                date(year, month, 1), date(year, month, last))
+        if yearlike:
+            # a year, a decade prefix (10 years) or a century prefix (100),
+            # or a range from the first day of one to the last of another;
+            # date() rejects a zero prefix (year 0), and DayInterval a low
+            # bound that starts after the high one ends
+            bounds = []
+            for digits in filter(None, yearlike.groups()):
+                n, width = int(digits), len(digits)
+                years = 10 ** (4 - width)
+                bounds.append((f"{n:0{width}d}", date(n * years, 1, 1),
+                               date(n * years + years - 1, 12, 31)))
+            return "-".join(b[0] for b in bounds), DayInterval(
+                bounds[0][1], bounds[-1][2])
     except ValueError as exc:
         raise MalformedValue(f"{text!r}: {exc}") from None
     raise MalformedValue(f"{text!r} matches no value production")
 
 
-def format_value(v: TimeValue) -> str:
-    """Emit the canonical form (ranges always hyphenated, no brackets)."""
-    kind = v.kind
-    if kind is ValueKind.YEAR:
-        return f"{v.year:04d}"
-    if kind is ValueKind.DECADE_PREFIX:
-        return f"{v.prefix:03d}"
-    if kind is ValueKind.CENTURY_PREFIX:
-        return f"{v.prefix:02d}"
-    if kind is ValueKind.YEAR_MONTH:
-        return f"{v.year:04d}-{v.month:02d}"
-    if kind is ValueKind.DATE:
-        return f"{v.year:04d}-{v.month:02d}-{v.day:02d}"
-    if kind is ValueKind.UNDERSPECIFIED_DATE:
-        return f"XXXX-{v.month:02d}-{v.day:02d}"
-    return f"{format_value(v.low)}-{format_value(v.high)}"
+@dataclass(frozen=True, slots=True)
+class TimeValue:
+    """One value of the canonical grammar: its canonical string, and the
+    day interval it denotes or None when it has no absolute year.  Both
+    are set from ``_parse`` when the value is made; equality and hash
+    compare the canonical string."""
+
+    canonical: str
+    interval: DayInterval | None = field(init=False, repr=False,
+                                         compare=False)
+
+    def __post_init__(self):
+        canonical, interval = _parse(self.canonical)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "interval", interval)
+
+    @classmethod
+    def of_year(cls, year: int) -> "TimeValue":
+        return cls(f"{year:04d}")
+
+    @classmethod
+    def of_decade(cls, prefix: int) -> "TimeValue":
+        # past 999 the prefix would print, and parse, as a year
+        if not 1 <= prefix <= 999:
+            raise MalformedValue(f"decade prefix {prefix} not in 1..999")
+        return cls(f"{prefix:03d}")
+
+    @classmethod
+    def of_century(cls, prefix: int) -> "TimeValue":
+        # past 99 the prefix would print, and parse, as a decade
+        if not 1 <= prefix <= 99:
+            raise MalformedValue(f"century prefix {prefix} not in 1..99")
+        return cls(f"{prefix:02d}")
+
+    @classmethod
+    def of_year_month(cls, year: int, month: int) -> "TimeValue":
+        # past 12 the pair would print, and parse, as a year-to-century
+        # range ("1250-13")
+        if not 1 <= month <= 12:
+            raise MalformedValue(f"month {month} not in 1..12")
+        return cls(f"{year:04d}-{month:02d}")
+
+    @classmethod
+    def of_date(cls, year: int, month: int, day: int) -> "TimeValue":
+        return cls(f"{year:04d}-{month:02d}-{day:02d}")
+
+    @classmethod
+    def of_month_day(cls, month: int, day: int) -> "TimeValue":
+        return cls(f"XXXX-{month:02d}-{day:02d}")
+
+    @classmethod
+    def of_range(cls, low: "TimeValue", high: "TimeValue") -> "TimeValue":
+        # brackets admit only the range production, so bounds that are not
+        # year-like, or a pair that prints as a calendar month ("1150-12"),
+        # are rejected rather than read as another value
+        return cls(f"[{low.canonical}-{high.canonical}]")
+
+
+def parse_value(text: str) -> TimeValue:
+    """Parse a canonical value string; '[A-B]' normalizes to the range A-B."""
+    return TimeValue(text)
 
 
 def to_interval(v: TimeValue) -> DayInterval:
-    """Tightest day interval covering every day the value denotes."""
-    kind = v.kind
-    if kind is ValueKind.YEAR:
-        return DayInterval.of_year(v.year)
-    if kind is ValueKind.DECADE_PREFIX:
-        first = v.prefix * 10
-        return DayInterval(date(first, 1, 1), date(first + 9, 12, 31))
-    if kind is ValueKind.CENTURY_PREFIX:
-        first = v.prefix * 100
-        return DayInterval(date(first, 1, 1), date(first + 99, 12, 31))
-    if kind is ValueKind.YEAR_MONTH:
-        leap = v.year % 4 == 0 and (v.year % 100 != 0 or v.year % 400 == 0)
-        last = 28 if v.month == 2 and not leap else _MAX_DAY[v.month - 1]
-        return DayInterval(date(v.year, v.month, 1), date(v.year, v.month, last))
-    if kind is ValueKind.DATE:
-        return DayInterval.single(date(v.year, v.month, v.day))
-    if kind is ValueKind.RANGE:
-        return DayInterval(to_interval(v.low).start, to_interval(v.high).end)
-    raise UnanchoredValue(f"{format_value(v)} has no absolute year")
+    """``v.interval``; UnanchoredValue for a value without an absolute
+    year."""
+    if v.interval is None:
+        raise UnanchoredValue(f"{v.canonical} has no absolute year")
+    return v.interval
 
 
 def relation_holds(key: Relation, f1: DayInterval, f2: DayInterval) -> bool:

@@ -7,6 +7,7 @@ from datetime import date
 
 import pytest
 
+from tqa import time_model
 from tqa.backend import (
     BackendQuery,
     FixtureStore,
@@ -17,7 +18,7 @@ from tqa.backend import (
 from tqa.errors import Diagnostic, SchemaViolation
 from tqa.packs import DATA_DIR
 from tqa.recomposition import DatedAnswer
-from tqa.time_model import parse_value, to_interval
+from tqa.time_model import parse_value
 
 from conftest import REF
 
@@ -82,19 +83,22 @@ def test_fixture_values_are_interned_per_load():
 
 
 def test_each_value_string_converts_to_an_interval_once(monkeypatch, en_pack):
-    store = load_fixtures(_wide_fixture())
     calls = []
 
-    def counting(value):
-        calls.append(value.canonical)
-        return to_interval(value)
+    def counting(text):
+        calls.append(text)
+        return parse(text)
 
-    monkeypatch.setattr("tqa.time_model.to_interval", counting)
+    parse = time_model._parse
+    monkeypatch.setattr(time_model, "_parse", counting)
+    store = load_fixtures(_wide_fixture())
+    assert sorted(calls) == sorted(WIDE_YEARS + ("1965",))
+    calls.clear()
     want = [f"P{i}" for i in range(200) if WIDE_YEARS[i % 4] > "1965"]
     for _ in range(2):
         result = answer_complex_question(WIDE_QUESTION, en_pack, REF, store)
         assert [a.text for a in result.answers] == want
-    assert sorted(calls) == sorted(WIDE_YEARS + ("1965",))
+    assert calls == []  # the question has no expression to tag
 
 
 def test_type1_passes_backend_output_verbatim(en_pack, fixtures_en):

@@ -170,6 +170,14 @@ def test_bad_ref_flag(capsys):
     assert code == 2
 
 
+def test_eval_takes_no_ref_option(capsys):
+    # eval reads each testbed's own reference date
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ref", "not-a-date"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ref" in capsys.readouterr().err
+
+
 def _truncated(path, source):
     data = source.read_bytes()
     path.write_bytes(data[:len(data) // 2])
@@ -298,6 +306,26 @@ def test_literal_rule_without_value_is_invalid(capsys, tmp_path, command,
                          *question)
     assert_one_error_line(code, out, err)
     assert "millennium-year" in err
+
+
+@pytest.mark.parametrize("old,new,question,tags", [
+    # with twenty read as 20000, "twenty twenty one" would be year 40001
+    (b'key="twenty" value="20"', b'key="twenty" value="20000"',
+     "Who won the race in twenty twenty one?", ""),
+    # with five digits after a month name, "august 12345" would be a month
+    (rb"(?P&lt;n&gt;\d{1,4})", rb"(?P&lt;n&gt;\d{1,5})",
+     "What happened in august 12345?", ""),
+    # with five-digit bounds, "between 1990 and 12345" would be a range
+    (rb"between\s+(?P&lt;a&gt;[12]\d{3})\s+and\s+(?P&lt;b&gt;[12]\d{3})",
+     rb"between\s+(?P&lt;a&gt;\d{4,5})\s+and\s+(?P&lt;b&gt;\d{4,5})",
+     "Who won between 1990 and 12345?", '<TE value="1990">1990</TE>\n'),
+], ids=["spoken-year", "month-year", "year-range"])
+def test_year_past_9999_gets_no_tag(capsys, tmp_path, old, new, question,
+                                    tags):
+    pack_dir = _edited_pack(tmp_path, old, new)
+    assert run(capsys, "tag", "--pack", pack_dir, question) == (0, tags, "")
+    assert run(capsys, "answer", "--pack", pack_dir, question) == (
+        0, "", "NOACT\n")
 
 
 @pytest.mark.parametrize("command,question", [

@@ -3,8 +3,9 @@ plain and with gold temporal expressions injected.
 
 The files under tests/golden/ are the stdout of
 ``tqa eval --lang <lang> --fixtures src/tqa/data/fixtures_<lang>.xml
---gold-te``.  A change that alters a report must regenerate them with that
-command and say why the figures moved.
+--gold-te``, with ``--format xml`` for the ``.xml`` files.  A change that
+alters a report must regenerate them with that command and say why the
+figures moved.
 """
 
 from __future__ import annotations
@@ -26,4 +27,15 @@ def test_eval_report_is_golden(capsys, lang):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     expected = (GOLDEN / f"eval_{lang}.txt").read_bytes()
+    assert captured.out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("lang", ["en", "es"])
+def test_eval_xml_report_is_golden(capsys, lang):
+    code = main(["eval", "--lang", lang, "--fixtures",
+                 str(DATA_DIR / f"fixtures_{lang}.xml"), "--gold-te",
+                 "--format", "xml"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    expected = (GOLDEN / f"eval_{lang}.xml").read_bytes()
     assert captured.out.encode("utf-8") == expected

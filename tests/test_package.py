@@ -19,10 +19,10 @@ PUBLIC_NAMES = [
     "DatedAnswer", "DayInterval", "DecomposedQuestion", "Diagnostic",
     "EvalReport", "FixtureStore", "GoldQuestion", "LanguagePack",
     "MetricsRow", "QABackend", "ReferenceDate", "Relation", "SignalMatch",
-    "TemporalExpressionTag", "Testbed", "TimeValue", "ValueKind", "Verdict",
+    "TemporalExpressionTag", "Testbed", "TimeValue", "Verdict",
     "answer_complex_question", "answer_decomposed", "backend", "corpus",
     "decompose", "decomposition", "detect_signal", "errors", "evaluation",
-    "filter_by_te", "format_value", "get_pack", "identify_type",
+    "filter_by_te", "get_pack", "identify_type",
     "judge_answer", "judge_decomposition", "load_fixtures", "load_pack",
     "load_testbed", "metrics", "packs", "parse_value", "recompose",
     "recomposition", "relation_holds", "render_text", "render_xml",
@@ -48,7 +48,7 @@ def fresh_python(code: str) -> str:
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 60
     assert sorted(tqa.__all__) == PUBLIC_NAMES
 
 

@@ -159,22 +159,12 @@ def test_dated_answer_equality_hash_and_repr_ignore_interval():
     assert replaced.interval == to_interval(parse_value("1970"))
 
 
-def test_dated_answer_interval_is_filled_on_first_read(monkeypatch):
-    calls = []
-
-    def counting(value):
-        calls.append(value.canonical)
-        return to_interval(value)
-
-    monkeypatch.setattr("tqa.time_model.to_interval", counting)
-    dated = answer("x", 1, "1968")
+def test_dated_answer_interval_is_set_at_construction():
+    value = parse_value("1968")
+    dated = DatedAnswer(text="x", rank=1, value=value)
     slot = DatedAnswer.__dict__["interval"]
-    with pytest.raises(AttributeError):
-        slot.__get__(dated, DatedAnswer)
-    first = dated.interval
-    assert slot.__get__(dated, DatedAnswer) is first
-    assert dated.interval is first
-    assert calls == ["1968"]
+    assert slot.__get__(dated, DatedAnswer) is value.interval
+    assert slot.__get__(DatedAnswer(text="y", rank=1), DatedAnswer) is None
 
 
 def test_dated_answer_unknown_attribute_raises():
@@ -302,11 +292,7 @@ class _FakeDated(DatedAnswer):
 
     def __init__(self, text, rank, interval):
         super().__init__(text=text, rank=rank, value=None)
-        object.__setattr__(self, "_interval", interval)
-
-    @property
-    def interval(self):
-        return self._interval
+        object.__setattr__(self, "interval", interval)
 
 
 def test_before_with_all_later_focus_is_empty():

@@ -1,27 +1,8 @@
-"""System output records and decomposition output conventions."""
+"""Decomposition output conventions."""
 
 from __future__ import annotations
 
-from tqa.backend import answer_complex_question
-from tqa.corpus import format_q_block, load_testbed, system_record_element
 from tqa.decomposition import decompose
-
-from conftest import REF
-
-
-def test_system_record_layout(en_pack, fixtures_en):
-    question = "Where did Bill Clinton study before going to Oxford University?"
-    analysis = decompose(question, en_pack, REF)
-    outcome = answer_complex_question(question, en_pack, REF, fixtures_en)
-    record = system_record_element(analysis, outcome.answers, qid=5)
-    assert record.find("ANSWER") is None
-    ranked = [(a.get("rank"), a.text)
-              for a in record.findall("SYS-ANSWERS/SYS-A")]
-    assert ranked == [("1", "Georgetown University")]
-    # the decomposition part still loads as a question block
-    text = format_q_block(record)
-    (loaded,) = load_testbed(text.encode("utf-8")).questions
-    assert loaded.q_focus == "Where did Bill Clinton study?"
 
 
 def test_focus_ends_with_question_mark(en_pack, es_pack, testbed_en,

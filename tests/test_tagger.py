@@ -8,7 +8,6 @@ import pytest
 
 from tqa.errors import OutOfCalendar
 from tqa.tagger import resolve_relative, tag
-from tqa.time_model import ValueKind
 
 from conftest import REF
 
@@ -105,7 +104,7 @@ def test_determinism(en_pack):
 def test_anchoring(en_pack, testbed_en):
     for gold in testbed_en.questions:
         for t in tag(gold.question, en_pack, testbed_en.ref):
-            if t.value.kind is ValueKind.UNDERSPECIFIED_DATE:
+            if t.value.canonical.startswith("XXXX-"):
                 assert t.interval is None
             else:
                 assert t.interval is not None

@@ -15,8 +15,6 @@ from tqa.time_model import (
     DayInterval,
     Relation,
     TimeValue,
-    ValueKind,
-    format_value,
     parse_value,
     relation_holds,
     to_interval,
@@ -30,26 +28,27 @@ def years_with_prefix(prefix: str) -> list[int]:
 
 def test_parse_decade_prefix():
     v = parse_value("195")
-    assert v.kind is ValueKind.DECADE_PREFIX
-    assert v.prefix == 195
+    assert v.canonical == "195"
+    assert v.interval == DayInterval(date(1950, 1, 1), date(1959, 12, 31))
 
 
 def test_parse_underspecified_date():
     v = parse_value("XXXX-08-15")
-    assert v.kind is ValueKind.UNDERSPECIFIED_DATE
-    assert (v.month, v.day) == (8, 15)
+    assert v.canonical == "XXXX-08-15"
+    assert v.interval is None
 
 
 def test_parse_range():
     v = parse_value("1939-1975")
-    assert v.kind is ValueKind.RANGE
-    assert (v.low.year, v.high.year) == (1939, 1975)
+    assert v.canonical == "1939-1975"
+    assert v.interval == DayInterval(date(1939, 1, 1), date(1975, 12, 31))
 
 
 def test_parse_bracketed_range_normalizes():
     v = parse_value("[2003-2008]")
-    assert v.kind is ValueKind.RANGE
-    assert format_value(v) == "2003-2008"
+    assert v.canonical == "2003-2008"
+    assert v == parse_value("2003-2008")
+    assert parse_value("[1939-1975]") == parse_value("1939-1975")
 
 
 @pytest.mark.parametrize("text", ["", "abc", "19x5", "[1988]", "1975-1939",
@@ -65,11 +64,46 @@ def test_malformed_values_rejected(text):
     "1939-1975", "196-197", "0981", "2008",
 ])
 def test_round_trip_canonical(text):
-    assert format_value(parse_value(text)) == text
+    assert parse_value(text).canonical == text
 
 
 def test_bracket_normalization_is_the_only_rewrite():
-    assert format_value(parse_value("[1939-1975]")) == "1939-1975"
+    assert parse_value("[1939-1975]").canonical == "1939-1975"
+
+
+def test_unicode_digits_normalize_to_ascii():
+    # Arabic-Indic digits: the canonical form is printed from the numbers
+    v = parse_value("\u0661\u0669\u0666\u0668")
+    assert v.canonical == "1968"
+    assert v == parse_value("1968") and v.interval == DayInterval.of_year(1968)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TimeValue.of_decade(1000),   # would print as the year "1000"
+    lambda: TimeValue.of_century(100),   # would print as the decade "100"
+    lambda: TimeValue.of_year_month(1250, 13),  # would print as a range
+    lambda: TimeValue.of_range(TimeValue.of_year(1990),
+                               TimeValue.of_century(5)),  # reads as 1990-05
+    lambda: TimeValue.of_range(TimeValue.of_year(1150),
+                               TimeValue.of_century(12)),  # reads as 1150-12
+    lambda: TimeValue.of_range(TimeValue.of_year(1975),
+                               TimeValue.of_year(1939)),
+    lambda: TimeValue.of_range(TimeValue.of_year_month(1990, 5),
+                               TimeValue.of_year(1995)),
+    lambda: TimeValue.of_year(10000),
+    lambda: TimeValue.of_year(0),
+], ids=["decade-1000", "century-100", "month-13", "range-1990-05",
+        "range-1150-12", "range-descending", "range-month-bound",
+        "year-10000", "year-0"])
+def test_constructor_rejects_rather_than_rereads(make):
+    with pytest.raises(MalformedValue):
+        make()
+
+
+def test_year_to_century_range_past_12_is_a_range():
+    v = TimeValue.of_range(TimeValue.of_year(1150), TimeValue.of_century(13))
+    assert v.canonical == "1150-13" and v == parse_value("1150-13")
+    assert v.interval == DayInterval(date(1150, 1, 1), date(1399, 12, 31))
 
 
 def test_decade_interval_matches_enumeration():
@@ -149,12 +183,14 @@ def _value_strategy():
 
 @given(_value_strategy())
 def test_format_parse_round_trip(value):
-    assert parse_value(format_value(value)) == value
+    again = parse_value(value.canonical)
+    assert again == value and hash(again) == hash(value)
+    assert again.interval == value.interval
 
 
 @given(_value_strategy())
 def test_intervals_are_ordered(value):
-    if value.kind is ValueKind.UNDERSPECIFIED_DATE:
+    if value.canonical.startswith("XXXX"):
         return
     iv = to_interval(value)
     assert iv.start <= iv.end
@@ -162,22 +198,30 @@ def test_intervals_are_ordered(value):
 
 @given(_value_strategy())
 def test_cached_interval_equals_to_interval(value):
-    if value.kind is ValueKind.UNDERSPECIFIED_DATE:
+    if value.canonical.startswith("XXXX"):
         assert value.interval is None
         with pytest.raises(UnanchoredValue):
             to_interval(value)
         return
     assert value.interval == to_interval(value)
-    assert value.interval is value.interval
+    assert value.interval is to_interval(value)
+
+
+def test_time_value_has_two_fields():
+    assert [f.name for f in dataclasses.fields(TimeValue)] == [
+        "canonical", "interval"]
+    assert not hasattr(TimeValue.of_year(1968), "__dict__")
+    assert repr(TimeValue.of_year(1968)) == "TimeValue(canonical='1968')"
 
 
 @given(_value_strategy())
 def test_replaced_value_gets_its_own_interval(value):
-    if value.year is None:
+    if value.interval is None:
         return
-    parent = value.interval  # cached on the parent before the copy
-    child = dataclasses.replace(value, year=value.year % 9999 + 1)
-    assert child.interval == to_interval(child)
+    parent = value.interval
+    year = value.interval.start.year % 9999 + 1
+    child = dataclasses.replace(value, canonical=f"{year:04d}")
+    assert child.interval == DayInterval.of_year(year)
     assert child.interval != parent
     assert value.interval is parent
 
