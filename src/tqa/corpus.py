@@ -173,18 +173,15 @@ def write_testbed(testbed: Testbed) -> bytes:
 
 def decomposition_to_element(analysis: DecomposedQuestion,
                              qid: int = 1) -> ET.Element:
-    """Render a system decomposition as a Q block (loadable as a testbed)."""
-    el = ET.Element("Q", id=str(qid))
-    ET.SubElement(el, "QUESTION").text = analysis.original
-    for t in analysis.tes:
-        te = ET.SubElement(el, "TE", value=t.value.canonical)
-        te.text = t.surface
-    ET.SubElement(el, "TYPE").text = str(analysis.qtype)
-    if analysis.qtype in (3, 4):
-        ET.SubElement(el, "SIGNAL").text = analysis.signal.surface
-        ET.SubElement(el, "Q-FOCUS").text = analysis.q_focus
-        ET.SubElement(el, "Q-REST").text = analysis.q_restriction
-    return el
+    """Render a system decomposition as a Q block (loadable as a testbed).
+
+    A complex question left unsplit has no sub-questions to write and
+    raises SchemaViolation."""
+    return _q_element(GoldQuestion(
+        id=qid, question=analysis.original, qtype=analysis.qtype,
+        tes=tuple((t.surface, t.value.canonical) for t in analysis.tes),
+        signal=analysis.signal.surface if analysis.signal else None,
+        q_focus=analysis.q_focus, q_rest=analysis.q_restriction))
 
 
 def format_q_block(element: ET.Element) -> str:

@@ -176,8 +176,6 @@ def synthesize_when_question(clause: str, pack: LanguagePack,
                     "rest": " ".join(tokens[hit + 1:]), "clause": clause}, pack)
         else:  # fallback
             return _render(template, {"clause": clause}, pack)
-    return _render(ClauseTemplate("fallback", "{clause}?"),
-                   {"clause": clause}, pack)
 
 
 def _trim_focus(text: str, pack: LanguagePack) -> str:

@@ -87,9 +87,8 @@ def metrics(c: Counts, ranks=None) -> MetricsRow:
     prec = c.corr / c.act if c.act else 0.0
     rec = c.corr / c.pos
     f = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-    mrr = None
-    if ranks is not None:
-        mrr = sum(1.0 / r for r in ranks if r) / len(ranks) if ranks else 0.0
+    mrr = None if ranks is None else (
+        sum(1.0 / r for r in ranks if r) / len(ranks) if ranks else 0.0)
     return MetricsRow(prec=prec, rec=rec, f=f, mrr=mrr)
 
 
@@ -97,30 +96,13 @@ def metrics(c: Counts, ranks=None) -> MetricsRow:
 # Decomposition judging
 # ---------------------------------------------------------------------------
 
-def _canonical_value(text: str) -> str:
-    return parse_value(text).canonical
+def _words(text: str) -> list[str]:
+    return text.replace("?", " ").replace("¿", " ").split()
 
 
-def _te_pairs(tags) -> list[tuple[str, str]]:
-    return sorted((t.surface, t.value.canonical) for t in tags)
-
-
-def _gold_te_pairs(gold: GoldQuestion) -> list[tuple[str, str]]:
-    return sorted((surface, _canonical_value(value))
-                  for surface, value in gold.tes)
-
-
-def _equivalence_map(pack: LanguagePack) -> dict[str, str]:
-    canon = {}
-    for a, b in pack.equivalences:
-        canon[a] = a
-        canon[b] = a
-    return canon
-
-
-def _keywords(tokens: list[str], pack: LanguagePack) -> list[str]:
+def _keywords(tokens: list[str], pack: LanguagePack,
+              canon: dict[str, str]) -> list[str]:
     """Non-stopword tokens, filler-free, verb forms normalized, sorted."""
-    canon = _equivalence_map(pack)
     out = []
     for token in tokens:
         if token in pack.stopwords or token in pack.fillers:
@@ -132,64 +114,56 @@ def _keywords(tokens: list[str], pack: LanguagePack) -> list[str]:
     return sorted(out)
 
 
-def _main_verb(text: str, pack: LanguagePack) -> str | None:
-    skip = {w.casefold() for w in pack.wh_words} \
-        | {w.casefold() for w in pack.aux_words} \
-        | set(pack.clitics) | pack.stopwords
-    for token in text.replace("?", " ").replace("¿", " ").split():
-        if token.casefold() in skip:
-            continue
-        if pack.is_verbish(token):
-            return token.casefold()
-    return None
-
-
-def _subquestion_matches(system: str, gold: str, pack: LanguagePack) -> bool:
+def _subquestion_matches(system: str, gold: str, pack: LanguagePack,
+                         canon: dict[str, str], skip: set[str]) -> bool:
     """The three splitter criteria: interrogative particle, main verb in
     the gold form, keyword multiset equality modulo stopwords."""
     system_tokens, gold_tokens = tokenize(system), tokenize(gold)
     if system_tokens[:1] != gold_tokens[:1]:
         return False
-    gold_verb = _main_verb(gold, pack)
-    if gold_verb is not None and gold_verb not in pack.fillers:
-        if gold_verb not in {t.casefold() for t in
-                             system.replace("?", " ").replace("¿", " ").split()}:
-            return False
-    return _keywords(system_tokens, pack) == _keywords(gold_tokens, pack)
+    gold_verb = next((token.casefold() for token in _words(gold)
+                      if token.casefold() not in skip
+                      and pack.is_verbish(token)), None)
+    if gold_verb is not None and gold_verb not in pack.fillers \
+            and gold_verb not in {t.casefold() for t in _words(system)}:
+        return False
+    return (_keywords(system_tokens, pack, canon)
+            == _keywords(gold_tokens, pack, canon))
 
 
 def judge_decomposition(system: DecomposedQuestion, gold: GoldQuestion,
                         pack: LanguagePack) -> list[AspectJudgment]:
     """Judge every aspect applicable for the gold question's type."""
-    applicable = APPLICABILITY[gold.qtype]
-    tes, signal, qtype = system.tes, system.signal, system.qtype
-    q_focus, q_restriction = system.q_focus, system.q_restriction
-
     judgments = []
-    decomp_acted, decomp_correct = True, True
     for aspect in (Aspect.TE, Aspect.TYPE, Aspect.SIGNAL, Aspect.SPLIT):
-        if aspect not in applicable:
+        if aspect not in APPLICABILITY[gold.qtype]:
             judgments.append(AspectJudgment(aspect, False, False, False))
             continue
         if aspect is Aspect.TE:
-            acted = bool(tes)
-            correct = acted and _te_pairs(tes) == _gold_te_pairs(gold)
+            acted = bool(system.tes)
+            want = sorted((s, parse_value(v).canonical) for s, v in gold.tes)
+            correct = acted and sorted(
+                (t.surface, t.value.canonical) for t in system.tes) == want
         elif aspect is Aspect.TYPE:
             acted = True
-            correct = qtype == gold.qtype
+            correct = system.qtype == gold.qtype
         elif aspect is Aspect.SIGNAL:
-            acted = signal is not None
-            correct = acted and signal.surface == gold.signal
+            acted = system.signal is not None
+            correct = acted and system.signal.surface == gold.signal
         else:
-            acted = q_focus is not None and q_restriction is not None
-            correct = acted \
-                and _subquestion_matches(q_focus, gold.q_focus, pack) \
-                and _subquestion_matches(q_restriction, gold.q_rest, pack)
+            acted = None not in (system.q_focus, system.q_restriction)
+            canon = {w: a for a, b in pack.equivalences for w in (a, b)}
+            skip = {w.casefold() for w in pack.wh_words + pack.aux_words} \
+                | set(pack.clitics) | pack.stopwords
+            correct = acted and all(
+                _subquestion_matches(got, want, pack, canon, skip)
+                for got, want in ((system.q_focus, gold.q_focus),
+                                  (system.q_restriction, gold.q_rest)))
         judgments.append(AspectJudgment(aspect, True, acted, correct))
-        decomp_acted = decomp_acted and acted
-        decomp_correct = decomp_correct and correct
-    judgments.append(AspectJudgment(Aspect.DECOMP, True, decomp_acted,
-                                    decomp_correct and decomp_acted))
+    judged = [j for j in judgments if j.applicable]
+    judgments.append(AspectJudgment(Aspect.DECOMP, True,
+                                    all(j.acted for j in judged),
+                                    all(j.correct for j in judged)))
     return judgments
 
 
@@ -274,32 +248,33 @@ def gold_tags(gold: GoldQuestion, question: str) -> list[TemporalExpressionTag]:
     return tags
 
 
-def _aspect_counts(results, aspect: Aspect, qtype=None) -> Counts:
+def _by_type(results) -> list[tuple[str, list[QuestionResult]]]:
+    """The by-type tables' groups, in row order: Type 1..4, then GLOBAL."""
+    return [(f"Type {qtype}", [r for r in results if r.qtype == qtype])
+            for qtype in (1, 2, 3, 4)] + [("GLOBAL", list(results))]
+
+
+def _decomposition_counts(results, aspect: Aspect) -> Counts:
     pos = act = corr = 0
     for result in results:
-        if qtype is not None and result.qtype != qtype:
-            continue
-        judgment = result.judgment(aspect)
-        if not judgment.applicable:
-            continue
-        pos += 1
-        act += judgment.acted
-        corr += judgment.correct
+        j = result.judgment(aspect)
+        if j.applicable:
+            pos, act, corr = pos + 1, act + j.acted, corr + j.correct
     return Counts(pos=pos, act=act, corr=corr)
 
 
-def _qa_row(results, label, qtype=None) -> EvalRow | None:
-    rows = [r for r in results
-            if r.verdict is not None and (qtype is None or r.qtype == qtype)]
-    if not rows:
-        return None
-    counts = Counts(
-        pos=len(rows),
-        act=sum(r.verdict is not Verdict.NOACT for r in rows),
-        corr=sum(r.verdict is Verdict.CORR for r in rows),
-        ine=sum(r.verdict is Verdict.INE for r in rows))
-    ranks = [r.rank for r in rows]
-    return EvalRow(label, counts, metrics(counts, ranks=ranks))
+def _qa_counts(results) -> Counts:
+    verdicts = [r.verdict for r in results]
+    return Counts(pos=len(verdicts),
+                  act=len(verdicts) - verdicts.count(Verdict.NOACT),
+                  corr=verdicts.count(Verdict.CORR),
+                  ine=verdicts.count(Verdict.INE))
+
+
+def _rows(entries) -> tuple[EvalRow, ...]:
+    """One row per (label, counts, ranks) entry with a non-empty population."""
+    return tuple(EvalRow(label, counts, metrics(counts, ranks=ranks))
+                 for label, counts, ranks in entries if counts.pos)
 
 
 def run_evaluation(testbed: Testbed, pack: LanguagePack,
@@ -329,73 +304,65 @@ def run_evaluation(testbed: Testbed, pack: LanguagePack,
             qid=gold.id, qtype=gold.qtype, judgments=judgments,
             verdict=verdict, rank=rank, answers=answers))
 
-    aspect_rows = []
-    for aspect in Aspect:
-        counts = _aspect_counts(results, aspect)
-        if counts.pos:
-            aspect_rows.append(EvalRow(aspect.value, counts, metrics(counts)))
-
-    type_rows = []
-    for qtype in (1, 2, 3, 4):
-        counts = _aspect_counts(results, Aspect.DECOMP, qtype=qtype)
-        if counts.pos:
-            type_rows.append(EvalRow(f"Type {qtype}", counts, metrics(counts)))
-    global_counts = _aspect_counts(results, Aspect.DECOMP)
-    type_rows.append(EvalRow("GLOBAL", global_counts, metrics(global_counts)))
-
-    qa_rows = []
-    if store is not None:
-        for qtype in (1, 2, 3, 4):
-            row = _qa_row(results, f"Type {qtype}", qtype=qtype)
-            if row:
-                qa_rows.append(row)
-        global_row = _qa_row(results, "GLOBAL")
-        if global_row:
-            qa_rows.append(global_row)
+    answered = [r for r in results if r.verdict is not None]
+    aspect_rows = _rows((aspect.value, _decomposition_counts(results, aspect),
+                         None) for aspect in Aspect)
+    type_rows = _rows((label, _decomposition_counts(group, Aspect.DECOMP), None)
+                      for label, group in _by_type(results))
+    qa_rows = _rows((label, _qa_counts(group), [r.rank for r in group])
+                    for label, group in _by_type(answered))
 
     return EvalReport(
         language=testbed.language, ref=testbed.ref.isoformat(),
         gold_te_injection=gold_te_injection,
-        aspect_rows=tuple(aspect_rows), type_rows=tuple(type_rows),
-        qa_rows=tuple(qa_rows), results=tuple(results),
-        extension_matches=extension_matches)
+        aspect_rows=aspect_rows, type_rows=type_rows, qa_rows=qa_rows,
+        results=tuple(results), extension_matches=extension_matches)
 
 
 # ---------------------------------------------------------------------------
 # Report rendering
 # ---------------------------------------------------------------------------
 
-def _pct(x: float) -> str:
-    return f"{100 * x:.2f}%"
+def _tables(report: EvalReport):
+    """Each non-empty table as (XML element, text heading, rows, with_qa)."""
+    tables = (
+        ("DECOMPOSITION", "Decomposition unit, by aspect",
+         report.aspect_rows, False),
+        ("BYTYPE", "Decomposition unit, by question type",
+         report.type_rows, False),
+        ("QA", "Question answering, by question type", report.qa_rows, True))
+    return [table for table in tables if table[2]]
+
+
+def _figures(row: EvalRow, with_qa: bool) -> dict[str, str]:
+    """A row's counts and percentages, keyed by XML attribute name."""
+    c, m = row.counts, row.metrics
+    figures = {"pos": str(c.pos), "act": str(c.act), "corr": str(c.corr),
+               "prec": f"{100 * m.prec:.2f}", "rec": f"{100 * m.rec:.2f}",
+               "f": f"{100 * m.f:.2f}"}
+    if with_qa:
+        figures["ine"] = str(c.ine)
+        figures["mrr"] = f"{100 * m.mrr:.2f}"
+    return figures
+
+
+#: Text columns in order; the percentages print with a trailing "%".
+_TEXT_COLUMNS = ("pos", "act", "corr", "ine", "prec", "rec", "f", "mrr")
+_PERCENT = frozenset({"prec", "rec", "f", "mrr"})
 
 
 def _render_rows(rows, with_qa: bool) -> list[str]:
-    header = ["", "POS", "ACT", "CORR"]
-    if with_qa:
-        header.append("INE")
-    header += ["PREC", "REC", "F"]
-    if with_qa:
-        header.append("MRR")
-    table = [header]
-    for row in rows:
-        cells = [row.label, str(row.counts.pos), str(row.counts.act),
-                 str(row.counts.corr)]
-        if with_qa:
-            cells.append(str(row.counts.ine))
-        cells += [_pct(row.metrics.prec), _pct(row.metrics.rec),
-                  _pct(row.metrics.f)]
-        if with_qa:
-            cells.append(_pct(row.metrics.mrr) if row.metrics.mrr is not None
-                         else "-")
-        table.append(cells)
+    figures = [_figures(row, with_qa) for row in rows]
+    columns = [c for c in _TEXT_COLUMNS if c in figures[0]]
+    table = [[""] + [c.upper() for c in columns]] + [
+        [row.label] + [f[c] + "%" * (c in _PERCENT) for c in columns]
+        for row, f in zip(rows, figures)]
     widths = [max(len(line[i]) for line in table)
-              for i in range(len(header))]
-    out = []
-    for line in table:
-        out.append("  ".join(cell.ljust(widths[i]) if i == 0
-                             else cell.rjust(widths[i])
-                             for i, cell in enumerate(line)).rstrip())
-    return out
+              for i in range(len(table[0]))]
+    return ["  ".join(cell.ljust(widths[i]) if i == 0
+                      else cell.rjust(widths[i])
+                      for i, cell in enumerate(line)).rstrip()
+            for line in table]
 
 
 def render_text(report: EvalReport) -> str:
@@ -403,13 +370,9 @@ def render_text(report: EvalReport) -> str:
     if report.gold_te_injection:
         title += ", gold temporal expressions injected"
     title += ")"
-    lines = [title, "", "Decomposition unit, by aspect"]
-    lines += _render_rows(report.aspect_rows, with_qa=False)
-    lines += ["", "Decomposition unit, by question type"]
-    lines += _render_rows(report.type_rows, with_qa=False)
-    if report.qa_rows:
-        lines += ["", "Question answering, by question type"]
-        lines += _render_rows(report.qa_rows, with_qa=True)
+    lines = [title]
+    for _, heading, rows, with_qa in _tables(report):
+        lines += ["", heading] + _render_rows(rows, with_qa)
     if report.extension_matches:
         lines += ["", f"note: {report.extension_matches} expression(s) "
                       "matched by capability-extension rules (word-spelled "
@@ -421,25 +384,11 @@ def render_xml(report: EvalReport) -> bytes:
     root = ET.Element("REPORT", lang=report.language, ref=report.ref,
                       goldte="1" if report.gold_te_injection else "0",
                       extensions=str(report.extension_matches))
-    sections = [("DECOMPOSITION", report.aspect_rows, False),
-                ("BYTYPE", report.type_rows, False)]
-    if report.qa_rows:
-        sections.append(("QA", report.qa_rows, True))
-    for name, rows, with_qa in sections:
+    for name, _, rows, with_qa in _tables(report):
         section = ET.SubElement(root, name)
         for row in rows:
-            attrs = {
-                "label": row.label, "pos": str(row.counts.pos),
-                "act": str(row.counts.act), "corr": str(row.counts.corr),
-                "prec": f"{100 * row.metrics.prec:.2f}",
-                "rec": f"{100 * row.metrics.rec:.2f}",
-                "f": f"{100 * row.metrics.f:.2f}",
-            }
-            if with_qa:
-                attrs["ine"] = str(row.counts.ine)
-                if row.metrics.mrr is not None:
-                    attrs["mrr"] = f"{100 * row.metrics.mrr:.2f}"
-            ET.SubElement(section, "ROW", attrs)
+            ET.SubElement(section, "ROW",
+                          {"label": row.label, **_figures(row, with_qa)})
     tree = ET.ElementTree(root)
     ET.indent(tree, space="  ")
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)

@@ -133,8 +133,8 @@ def _op_decade(m, rule, pack, ref):
             first = _pivot_year(int(text), ref)
     else:
         first = pack.decade_words.get(text)
-    if first is None or first % 10 != 0 or first < 10:
-        return None
+    if first is None or first % 10 != 0 or not 10 <= first <= 9990:
+        return None  # past 9990 the decade would end past year 9999
     part = (m.groupdict().get("part") or "").casefold()
     if part == "early":
         return TimeValue.of_range(TimeValue.of_year(first),

@@ -319,7 +319,10 @@ def test_literal_rule_without_value_is_invalid(capsys, tmp_path, command,
     (rb"between\s+(?P&lt;a&gt;[12]\d{3})\s+and\s+(?P&lt;b&gt;[12]\d{3})",
      rb"between\s+(?P&lt;a&gt;\d{4,5})\s+and\s+(?P&lt;b&gt;\d{4,5})",
      "Who won between 1990 and 12345?", '<TE value="1990">1990</TE>\n'),
-], ids=["spoken-year", "month-year", "year-range"])
+    # with eighties read as 19980, "the eighties" would be decade prefix 1998
+    (b'key="eighties" value="1980"', b'key="eighties" value="19980"',
+     "Who won in the eighties?", ""),
+], ids=["spoken-year", "month-year", "year-range", "decade-word"])
 def test_year_past_9999_gets_no_tag(capsys, tmp_path, old, new, question,
                                     tags):
     pack_dir = _edited_pack(tmp_path, old, new)

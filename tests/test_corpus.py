@@ -144,3 +144,10 @@ def test_cli_block_is_loadable(en_pack):
     assert q.qtype == 4
     assert q.q_focus == "Where did Bill Clinton study?"
     assert q.answer is None
+
+
+def test_unsplit_decomposition_is_no_block(en_pack):
+    analysis = decompose("What happened just before?", en_pack, REF)
+    assert analysis.qtype == 4 and analysis.q_focus is None
+    with pytest.raises(SchemaViolation):
+        decomposition_to_element(analysis)

@@ -338,6 +338,18 @@ def test_qa_rows_present_with_fixtures(en_pack, testbed_en, fixtures_en):
     assert global_row.counts.corr == len(answered)
 
 
+def test_rows_appear_only_for_a_population(en_pack, fixtures_en):
+    """A lone type-1 question without ANSWER: only its applicable aspects
+    and its own type get rows, and no QA row has anyone to count."""
+    gold = GoldQuestion(id=903, qtype=1,
+                        question="Who won the best actress Oscar award?")
+    testbed = Testbed(language="en", ref=REF, questions=(gold,))
+    report = run_evaluation(testbed, en_pack, store=fixtures_en)
+    assert [row.label for row in report.aspect_rows] == ["TYPE", "DECOMP"]
+    assert [row.label for row in report.type_rows] == ["Type 1", "GLOBAL"]
+    assert report.qa_rows == ()
+
+
 def test_render_text_layout(en_pack, testbed_en, fixtures_en):
     report = run_evaluation(testbed_en, en_pack, store=fixtures_en)
     text = render_text(report)
