@@ -169,11 +169,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pack_validate(args) -> int:
-    from .tagger import rule_op
     pack = get_pack(args.lang, args.pack)
     compile_patterns(pack)
-    for rule in pack.te_rules:
-        rule_op(rule)
     print(f"OK {pack.code}: {len(pack.signals)} signals, "
           f"{len(pack.te_rules)} expression rules, "
           f"{len(pack.clause_templates)} clause templates")

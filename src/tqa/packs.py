@@ -34,6 +34,18 @@ CORE_SIGNAL_BASES = frozenset({
 #: Clause template kinds understood by the question splitter.
 TEMPLATE_KINDS = ("gerund", "clitic", "verb_first", "aux", "tensed", "fallback")
 
+#: Canonical units a ``unit`` lexicon entry may name.
+_UNITS = ("day", "month", "year", "decade", "century")
+
+#: Integer lexicon kinds: (test of a value, the domain it checks).
+_LEXICON_DOMAINS = {
+    "month": (lambda n: 1 <= n <= 12, "a month number 1-12"),
+    "number": (lambda n: n >= 0, "a non-negative integer"),
+    "ordinal": (lambda n: n >= 0, "a non-negative integer"),
+    "decade": (lambda n: n >= 0 and n % 10 == 0,
+               "a non-negative multiple of 10"),
+}
+
 
 def _compile(pattern: str, what: str) -> re.Pattern:
     """Compile a pack pattern case-insensitively; a pattern that does not
@@ -79,6 +91,14 @@ class TagRule:
     @cached_property
     def regex(self) -> re.Pattern:
         return _bounded(self.pattern, f"rule {self.name!r}")
+
+    @cached_property
+    def binding(self):
+        """The rule's compiled pattern, normalization function and parsed
+        ARG, bound on first use by ``tagger.bind_rule``, which holds the
+        op table."""
+        from .tagger import bind_rule
+        return bind_rule(self)
 
     def arg(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.args:
@@ -228,11 +248,13 @@ def validate_pack(pack: LanguagePack) -> LanguagePack:
 
 
 def compile_patterns(pack: LanguagePack) -> None:
-    """Compile every pattern the pipeline reads, raising PackInvalid for
-    the first that does not compile.  Loading leaves each pattern to
-    compile on first use; this check is for ``tqa pack-validate``."""
+    """Compile every pattern the pipeline reads and bind every rule's op,
+    raising PackInvalid for the first fault.  Loading leaves each to
+    happen on first use; this check is for ``tqa pack-validate``."""
     aux = [t for t in pack.clause_templates if t.kind == "aux" and t.pattern]
-    for item in (*pack.te_rules, *pack.signals, *aux):
+    for rule in pack.te_rules:
+        rule.binding  # compiles the rule's pattern too
+    for item in (*pack.signals, *aux):
         item.regex
     pack.modifier_regex
 
@@ -384,15 +406,22 @@ def load_pack(source) -> LanguagePack:
     for el in root.findall("LEXICON/ENTRY"):
         kind, key, value = el.get("kind"), el.get("key", ""), el.get("value", "")
         if kind == "unit":
+            if value not in _UNITS:
+                raise PackInvalid(f"unit {key!r}: value {value!r} is not one "
+                                  f"of {', '.join(_UNITS)}")
             units[key] = value
         elif kind == "conjunction":
             conjunctions.add(key)
         elif kind in tables:
+            in_domain, domain = _LEXICON_DOMAINS[kind]
             try:
-                tables[kind][key] = int(value)
+                number = int(value)
             except ValueError:
+                number = None
+            if number is None or not in_domain(number):
                 raise PackInvalid(f"{kind} {key!r}: value {value!r} is not "
-                                  "an integer") from None
+                                  f"{domain}")
+            tables[kind][key] = number
         else:
             raise PackInvalid(f"unknown lexicon kind {kind!r}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import MAXYEAR, date, timedelta
 
 from .errors import MalformedValue, OutOfCalendar, PackInvalid
-from .packs import LanguagePack, TagRule
+from .packs import _UNITS, LanguagePack, TagRule
 from .time_model import DayInterval, TimeValue, parse_value
 
 #: Reference date anchoring deictic and relative expressions.
@@ -49,7 +49,7 @@ def resolve_relative(quantity: int, unit: str, direction: str,
     """Offset the reference date and emit at the unit's natural granularity."""
     if quantity < 0:
         raise ValueError("quantity must be non-negative")
-    if unit not in ("day", "month", "year", "decade", "century"):
+    if unit not in _UNITS:
         raise ValueError(f"unknown unit {unit!r}")
     sign = -1 if direction == "past" else 1
     if unit == "day":
@@ -106,25 +106,21 @@ def _year_from_text(text: str, pack: LanguagePack, ref: ReferenceDate) -> int | 
     return pack.parse_number(text)
 
 
-def _op_literal(m, rule, pack, ref):
-    return parse_value(rule.arg("value"))
+def _op_literal(m, value, pack, ref):
+    return value
 
 
-def _op_year(m, rule, pack, ref):
+def _op_year(m, arg, pack, ref):
     year = _year_from_text(m.group("y"), pack, ref)
-    if year is None or not 1 <= year <= MAXYEAR:
-        return None
-    return TimeValue.of_year(year)
+    return None if year is None else TimeValue.of_year(year)
 
 
-def _op_year_range(m, rule, pack, ref):
-    a, b = int(m.group("a")), int(m.group("b"))
-    if not 1 <= a <= b <= MAXYEAR:
-        return None
-    return TimeValue.of_range(TimeValue.of_year(a), TimeValue.of_year(b))
+def _op_year_range(m, arg, pack, ref):
+    return TimeValue.of_range(TimeValue.of_year(int(m.group("a"))),
+                              TimeValue.of_year(int(m.group("b"))))
 
 
-def _op_decade(m, rule, pack, ref):
+def _op_decade(m, arg, pack, ref):
     text = m.group("d").casefold()
     if text.isdigit():
         if len(text) == 4:
@@ -133,8 +129,10 @@ def _op_decade(m, rule, pack, ref):
             first = _pivot_year(int(text), ref)
     else:
         first = pack.decade_words.get(text)
-    if first is None or first % 10 != 0 or not 10 <= first <= 9990:
-        return None  # past 9990 the decade would end past year 9999
+    if first is None or first % 10 != 0:
+        return None
+    # a decade with no value (years 0-9) has no halves either
+    decade = TimeValue.of_decade(first // 10)
     part = (m.groupdict().get("part") or "").casefold()
     if part == "early":
         return TimeValue.of_range(TimeValue.of_year(first),
@@ -142,18 +140,16 @@ def _op_decade(m, rule, pack, ref):
     if part == "late":
         return TimeValue.of_range(TimeValue.of_year(first + 5),
                                   TimeValue.of_year(first + 9))
-    return TimeValue.of_decade(first // 10)
+    return decade
 
 
-def _op_century(m, rule, pack, ref):
+def _op_century(m, arg, pack, ref):
     number = _ordinal_number(m.group("c"), pack)
-    if number is None or not 2 <= number <= 100:
-        return None
     # the Nth century spans years (N-1)00 .. (N-1)99
-    return TimeValue.of_century(number - 1)
+    return None if number is None else TimeValue.of_century(number - 1)
 
 
-def _op_month_number(m, rule, pack, ref):
+def _op_month_number(m, arg, pack, ref):
     month = pack.months.get(m.group("m").casefold())
     if month is None:
         return None
@@ -161,84 +157,85 @@ def _op_month_number(m, rule, pack, ref):
     year_text = m.groupdict().get("y")
     if n <= 31:
         if year_text:
-            try:
-                return TimeValue.of_date(int(year_text), month, n)
-            except MalformedValue:
-                return None
-        try:
-            return TimeValue.of_month_day(month, n)
-        except MalformedValue:
-            return None
+            return TimeValue.of_date(int(year_text), month, n)
+        return TimeValue.of_month_day(month, n)
     if year_text:  # "august 90 1990" is no expression
         return None
     if 100 <= n <= 999:  # "april 500" names no month
         return None
     year = n if n >= 1000 else _pivot_year(n, ref)
-    if not 1 <= year <= MAXYEAR:  # pivoted before year 1, or past 9999
-        return None
     return TimeValue.of_year_month(year, month)
 
 
-def _op_relative(m, rule, pack, ref):
+def _op_relative(m, direction, pack, ref):
     quantity = pack.parse_number(m.group("n"))
     unit = pack.unit_words.get(m.group("u").casefold())
     if quantity is None or unit is None:
         return None
-    try:
-        return resolve_relative(quantity, unit, rule.arg("direction", "past"),
-                                ref)
-    except OutOfCalendar:
-        return None
+    return resolve_relative(quantity, unit, direction, ref)
 
 
-def _op_ref_year(m, rule, pack, ref):
+def _op_ref_year(m, arg, pack, ref):
     return TimeValue.of_year(ref.year)
 
 
-def _op_ref_date(m, rule, pack, ref):
+def _op_ref_date(m, arg, pack, ref):
     return TimeValue.of_date(ref.year, ref.month, ref.day)
 
 
-def _op_recent_years(m, rule, pack, ref):
-    back = int(rule.arg("years", "5"))
-    if ref.year - back < 1:
-        return None
-    return TimeValue.of_range(TimeValue.of_year(ref.year - back),
+def _op_recent_years(m, years, pack, ref):
+    return TimeValue.of_range(TimeValue.of_year(ref.year - years),
                               TimeValue.of_year(ref.year))
 
 
-#: Normalization ops: name -> (function, the pattern groups it requires).
+def _direction(text: str) -> str:
+    if text not in ("past", "future"):
+        raise ValueError(f"{text!r} is not past or future")
+    return text
+
+
+def _count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise ValueError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
+#: Normalization ops: name -> (function, the pattern groups it requires,
+#: and the (key, default, reader) of the ARG it reads, if any).
 _OPS = {
-    "literal": (_op_literal, ()),
-    "year": (_op_year, ("y",)),
-    "year-range": (_op_year_range, ("a", "b")),
-    "decade": (_op_decade, ("d",)),
-    "century": (_op_century, ("c",)),
-    "month-number": (_op_month_number, ("m", "n")),
-    "relative": (_op_relative, ("n", "u")),
-    "ref-year": (_op_ref_year, ()),
-    "ref-date": (_op_ref_date, ()),
-    "recent-years": (_op_recent_years, ()),
+    "literal": (_op_literal, (), ("value", None, parse_value)),
+    "year": (_op_year, ("y",), None),
+    "year-range": (_op_year_range, ("a", "b"), None),
+    "decade": (_op_decade, ("d",), None),
+    "century": (_op_century, ("c",), None),
+    "month-number": (_op_month_number, ("m", "n"), None),
+    "relative": (_op_relative, ("n", "u"), ("direction", "past", _direction)),
+    "ref-year": (_op_ref_year, (), None),
+    "ref-date": (_op_ref_date, (), None),
+    "recent-years": (_op_recent_years, (), ("years", "5", _count)),
 }
 
 
-def rule_op(rule: TagRule):
-    """The normalization function of a rule; PackInvalid when the op is
-    unknown, the rule's pattern lacks a group the op requires or a
-    ``literal`` rule's ARG value does not parse."""
+def bind_rule(rule: TagRule):
+    """The rule's compiled pattern, normalization function and parsed ARG
+    (None for an op that reads none); PackInvalid when the op is unknown,
+    the pattern lacks a group the op requires or the ARG is outside its
+    domain.  Read through ``TagRule.binding``, once per rule."""
     if rule.op not in _OPS:
         raise PackInvalid(f"rule {rule.name!r}: unknown op {rule.op!r}")
-    op, groups = _OPS[rule.op]
-    missing = [g for g in groups if g not in rule.regex.groupindex]
+    op, groups, arg = _OPS[rule.op]
+    regex = rule.regex
+    missing = [g for g in groups if g not in regex.groupindex]
     if missing:
         raise PackInvalid(f"rule {rule.name!r}: op {rule.op!r} requires "
                           f"pattern group(s) {', '.join(missing)}")
-    if op is _op_literal:
-        try:
-            parse_value(rule.arg("value"))
-        except MalformedValue as exc:
-            raise PackInvalid(f"rule {rule.name!r}: ARG value: {exc}") from None
-    return op
+    if arg is None:
+        return regex, op, None
+    key, default, read = arg
+    try:
+        return regex, op, read(rule.arg(key, default))
+    except (ValueError, MalformedValue) as exc:
+        raise PackInvalid(f"rule {rule.name!r}: ARG {key}: {exc}") from None
 
 
 def tag(question: str, pack: LanguagePack,
@@ -251,8 +248,12 @@ def tag(question: str, pack: LanguagePack,
     """
     candidates = []
     for index, rule in enumerate(pack.te_rules):
-        for m in rule.regex.finditer(question):
-            value = rule_op(rule)(m, rule, pack, ref)
+        regex, op, arg = rule.binding
+        for m in regex.finditer(question):
+            try:
+                value = op(m, arg, pack, ref)
+            except (MalformedValue, OutOfCalendar):
+                continue  # outside years 1-9999 or the value grammar
             if value is not None:
                 candidates.append((m.start(), -(m.end() - m.start()), index,
                                    m.end(), value, rule.name))

@@ -218,10 +218,10 @@ def test_pack_validate_unknown_relation(capsys, tmp_path, en_pack):
     assert "LATER" in err
 
 
-def _edited_pack(directory, old, new):
-    doc = (DATA_DIR / "en.xml").read_bytes()
+def _edited_pack(directory, old, new, lang="en"):
+    doc = (DATA_DIR / f"{lang}.xml").read_bytes()
     assert doc.count(old) == 1
-    (directory / "en.xml").write_bytes(doc.replace(old, new))
+    (directory / f"{lang}.xml").write_bytes(doc.replace(old, new))
     return str(directory)
 
 
@@ -295,17 +295,53 @@ def test_empty_signal_is_invalid(capsys, tmp_path):
     assert "signal 'after'" in err
 
 
-@pytest.mark.parametrize("command,question", [
-    ("pack-validate", ()), ("tag", ("Who won in the second millennium year?",)),
-    ("answer", ("Who won in the second millennium year?",)),
-], ids=["pack-validate", "tag", "answer"])
-def test_literal_rule_without_value_is_invalid(capsys, tmp_path, command,
-                                               question):
-    pack_dir = _edited_pack(tmp_path, b'<ARG key="value">2000</ARG>', b"")
-    code, out, err = run(capsys, command, "--lang", "en", "--pack", pack_dir,
+#: Pack edits that put a rule ARG or a lexicon value outside its domain:
+#: (id, lang, old, new, a question for tag and answer, the rule or entry
+#: the error names).  The first, a literal rule without its value, has no
+#: id of its own.
+_OUT_OF_DOMAIN = [
+    ("", "en", b'<ARG key="value">2000</ARG>', b"",
+     "Who won in the second millennium year?", "millennium-year"),
+    ("direction-word", "en", b'<ARG key="direction">past</ARG>',
+     b'<ARG key="direction">pasado</ARG>', "Who won 3 years ago?",
+     "relative-ago"),
+    ("years-word", "es", b'<ARG key="years">5</ARG>',
+     b'<ARG key="years">cinco</ARG>', "¿Quién ganó en los últimos años?",
+     "últimos-años"),
+    ("years-negative", "es", b'<ARG key="years">5</ARG>',
+     b'<ARG key="years">-3</ARG>', "¿Quién ganó en los últimos años?",
+     "últimos-años"),
+    ("unit-week", "en", b'key="years" value="year"',
+     b'key="years" value="week"', "Who won the prize 16 years ago?",
+     "unit 'years'"),
+    ("number-negative", "en", b'key="five" value="5"',
+     b'key="five" value="-5"', "Who won five years ago?", "number 'five'"),
+    ("decade-not-tens", "en", b'key="eighties" value="1980"',
+     b'key="eighties" value="1985"', "Who won in the eighties?",
+     "decade 'eighties'"),
+    ("month-13", "en", b'key="august" value="8"', b'key="august" value="13"',
+     "What happened on august 15?", "month 'august'"),
+    ("ordinal-negative", "en", b'key="fifth" value="5"',
+     b'key="fifth" value="-5"', "Who reigned in the fifth century?",
+     "ordinal 'fifth'"),
+]
+
+
+@pytest.mark.parametrize("lang,old,new,question,name,command", [
+    (*edit[1:], command) for edit in _OUT_OF_DOMAIN
+    for command in ("pack-validate", "tag", "answer")
+], ids=[f"{edit[0]}-{command}" if edit[0] else command
+        for edit in _OUT_OF_DOMAIN
+        for command in ("pack-validate", "tag", "answer")])
+def test_literal_rule_without_value_is_invalid(capsys, tmp_path, lang, old,
+                                               new, question, name, command):
+    # and every other rule ARG or lexicon value outside its domain
+    pack_dir = _edited_pack(tmp_path, old, new, lang)
+    question = () if command == "pack-validate" else (question,)
+    code, out, err = run(capsys, command, "--lang", lang, "--pack", pack_dir,
                          *question)
     assert_one_error_line(code, out, err)
-    assert "millennium-year" in err
+    assert name in err
 
 
 @pytest.mark.parametrize("old,new,question,tags", [
@@ -328,6 +364,19 @@ def test_year_past_9999_gets_no_tag(capsys, tmp_path, old, new, question,
     pack_dir = _edited_pack(tmp_path, old, new)
     assert run(capsys, "tag", "--pack", pack_dir, question) == (0, tags, "")
     assert run(capsys, "answer", "--pack", pack_dir, question) == (
+        0, "", "NOACT\n")
+
+
+@pytest.mark.parametrize("ref,question", [
+    ("0005-06-01", "Who won 0 centuries ago?"),
+    ("0005-06-01", "Who won 0 decades ago?"),
+    ("9999-12-31", "Who won 99 centuries ago?"),
+])
+def test_relative_value_outside_the_grammar_gets_no_tag(capsys, ref,
+                                                        question):
+    # years 1-9 have no decade value and years 1-99 no century value
+    assert run(capsys, "tag", "--ref", ref, question) == (0, "", "")
+    assert run(capsys, "answer", "--ref", ref, question) == (
         0, "", "NOACT\n")
 
 

@@ -1,10 +1,14 @@
 """Generated questions: the pipeline raises nothing on arbitrary input but
-the documented ValueError for a blank question, and is deterministic."""
+the documented ValueError for a blank question, and is deterministic.
+Generated packs: a shipped pack with lexicon values and rule ARGs
+rewritten is either rejected with PackInvalid before it tags anything,
+or runs every generated question without raising."""
 
 from __future__ import annotations
 
 import re
 from datetime import date
+from xml.etree import ElementTree as ET
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +16,8 @@ from hypothesis import strategies as st
 
 from tqa.backend import answer_complex_question, shipped_fixtures
 from tqa.decomposition import decompose
-from tqa.packs import get_pack
+from tqa.errors import PackInvalid
+from tqa.packs import DATA_DIR, get_pack, load_pack
 from tqa.tagger import tag
 
 LANGS = ("en", "es")
@@ -44,8 +49,7 @@ refs = st.dates(min_value=date(1, 1, 1), max_value=date(9999, 12, 31))
 
 
 @st.composite
-def questions(draw):
-    lang = draw(st.sampled_from(LANGS))
+def texts(draw, lang):
     token = st.one_of(
         st.sampled_from(WORDS[lang]),
         st.sampled_from(WORDS[lang]).map(str.capitalize),
@@ -53,16 +57,21 @@ def questions(draw):
         st.text(max_size=6),
     )
     words = draw(st.lists(token, max_size=12))
-    question = " ".join(words) + draw(st.sampled_from(("", "?", " ?")))
-    return lang, question
+    return " ".join(words) + draw(st.sampled_from(("", "?", " ?")))
 
 
-def run_all(lang, question, ref):
-    pack = PACKS[lang]
+@st.composite
+def questions(draw):
+    lang = draw(st.sampled_from(LANGS))
+    return lang, draw(texts(lang))
+
+
+def run_all(pack, question, ref):
     tags = tag(question, pack, ref)
     try:
         analysis = decompose(question, pack, ref)
-        answer = answer_complex_question(question, pack, ref, STORES[lang])
+        answer = answer_complex_question(question, pack, ref,
+                                         STORES[pack.code])
     except ValueError as exc:
         assert not question.strip()
         assert str(exc) == "question is empty"
@@ -75,7 +84,78 @@ def run_all(lang, question, ref):
 @given(questions(), refs)
 def test_pipeline_raises_only_on_blank_and_is_deterministic(lq, ref):
     lang, question = lq
-    assert run_all(lang, question, ref) == run_all(lang, question, ref)
+    pack = PACKS[lang]
+    assert run_all(pack, question, ref) == run_all(pack, question, ref)
+
+
+def rule_texts(pack):
+    """For each rule of the pack, questions holding a text the rule's
+    pattern matches, so that its op runs."""
+    return {rule.name: st.from_regex(re.compile(rule.pattern, re.IGNORECASE),
+                                     fullmatch=True).map(
+                lambda text: f"{pack.wh_words[0]} won {text}?")
+            for rule in pack.te_rules}
+
+
+RULE_TEXTS = {lang: rule_texts(PACKS[lang]) for lang in LANGS}
+RULE_WORDS = {lang: {rule.name: set(re.findall(r"[^\W\d_]+", rule.pattern))
+                     for rule in PACKS[lang].te_rules} for lang in LANGS}
+_INTEGERS = st.one_of(st.integers(-20, 20), st.integers(-10**6, 10**6))
+_NON_WORDS = st.sampled_from(("", "week", "cinco", "pasado", "-0", "1e3",
+                              "٣", " 5 "))
+
+#: What the mutation test rewrites: the value of every lexicon entry of
+#: one of these kinds, or the text of every rule ARG with one of these
+#: keys, each drawn from wide integers, in-domain values and non-words.
+MUTATIONS = {
+    "number": _INTEGERS.map(str) | _NON_WORDS,
+    "ordinal": _INTEGERS.map(str) | _NON_WORDS,
+    "decade": st.integers(-100, 1100).map(lambda n: str(10 * n))
+    | _INTEGERS.map(str) | _NON_WORDS,
+    "month": st.integers(-2, 14).map(str) | _NON_WORDS,
+    "unit": st.sampled_from(("day", "month", "year", "decade", "century",
+                             "week", "Year", "years")) | _NON_WORDS,
+    "years": _INTEGERS.map(str) | _NON_WORDS,
+    "direction": st.sampled_from(("past", "future", "Past", "pasado")),
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_pack_is_invalid_or_raises_nothing(data):
+    lang = data.draw(st.sampled_from(LANGS))
+    root = ET.fromstring((DATA_DIR / f"{lang}.xml").read_bytes())
+    kinds = data.draw(st.sets(st.sampled_from(sorted(MUTATIONS)),
+                              min_size=1, max_size=2))
+    rules = set()
+    for kind in sorted(kinds):
+        # one value for all of a kind's entries, and the rules whose
+        # pattern holds one of their words or that carry the ARG
+        value = data.draw(MUTATIONS[kind], label=kind)
+        words = set()
+        for el in root.iter("ENTRY"):
+            if el.get("kind") == kind:
+                el.set("value", value)
+                words.add(el.get("key"))
+        rules |= {name for name, pattern_words in RULE_WORDS[lang].items()
+                  if pattern_words & words}
+        for rule in root.iter("RULE"):
+            for el in rule.iter("ARG"):
+                if el.get("key") == kind:
+                    el.text = value
+                    rules.add(rule.get("name"))
+    focused = st.one_of([RULE_TEXTS[lang][name] for name in sorted(rules)]
+                        or list(RULE_TEXTS[lang].values()))
+    cases = data.draw(st.lists(st.tuples(focused | texts(lang), refs),
+                               min_size=1, max_size=4))
+    try:
+        pack = load_pack(ET.tostring(root, encoding="utf-8"))
+        tag(cases[0][0], pack, cases[0][1])  # binds every rule
+    except PackInvalid:
+        return  # rejected before it tagged anything
+    for question, ref in cases:
+        run_all(pack, question, ref)
 
 
 @pytest.mark.parametrize("lang", LANGS)
