@@ -1,20 +1,29 @@
-"""Eval reports pinned byte for byte: the shipped testbed and fixtures,
-plain and with gold temporal expressions injected.
+"""CLI outputs pinned byte for byte.
 
-The files under tests/golden/ are the stdout of
+The eval reports (``eval_<lang>.txt`` and ``.xml``) are the stdout of
 ``tqa eval --lang <lang> --fixtures src/tqa/data/fixtures_<lang>.xml
---gold-te``, with ``--format xml`` for the ``.xml`` files.  A change that
-alters a report must regenerate them with that command and say why the
-figures moved.
+--gold-te``, with ``--format xml`` for the ``.xml`` files.
+
+The transcripts (``cli_<lang>.txt``) hold, for every shipped testbed
+question in order, the exit code, stdout and stderr of ``tag``,
+``classify``, ``decompose`` and ``answer``; they are written by
+``PYTHONPATH=src python3 tests/test_golden.py``.
+
+A change that alters an output must regenerate the file with its command
+and say why the output moved.
 """
 
 from __future__ import annotations
 
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from tqa.cli import main
+from tqa.corpus import shipped_testbed
 from tqa.packs import DATA_DIR
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,3 +48,34 @@ def test_eval_xml_report_is_golden(capsys, lang):
     assert (code, captured.err) == (0, "")
     expected = (GOLDEN / f"eval_{lang}.xml").read_bytes()
     assert captured.out.encode("utf-8") == expected
+
+
+LANGS = ("en", "es")
+QUESTION_COMMANDS = ("tag", "classify", "decompose", "answer")
+
+
+def cli_transcript(lang: str) -> str:
+    """Every question command on every shipped testbed question."""
+    parts = []
+    for q in shipped_testbed(lang).questions:
+        for command in QUESTION_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "--lang", lang, q.question])
+            parts.append(f"=== Q{q.id} {command} exit {code}\n"
+                         f"--- stdout\n{out.getvalue()}"
+                         f"--- stderr\n{err.getvalue()}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("lang", LANGS)
+def test_cli_transcript_is_golden(lang):
+    expected = (GOLDEN / f"cli_{lang}.txt").read_bytes()
+    assert cli_transcript(lang).encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    for lang in LANGS:
+        (GOLDEN / f"cli_{lang}.txt").write_bytes(
+            cli_transcript(lang).encode("utf-8"))
+    sys.exit(0)
