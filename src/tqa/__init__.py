@@ -40,8 +40,8 @@ _EXPORTS = {
                "tag"),
     "textnorm": (),
     "time_model": (
-        "DayInterval", "Relation", "TimeValue", "parse_value",
-        "relation_holds", "to_interval"),
+        "DayInterval", "Relation", "TimeValue", "relation_holds",
+        "to_interval"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in names}

@@ -18,7 +18,7 @@ from .packs import DATA_DIR, LanguagePack
 from .recomposition import ComplexAnswer, DatedAnswer, recompose
 from .tagger import ReferenceDate
 from .textnorm import normalize_key
-from .time_model import TimeValue, parse_value
+from .time_model import TimeValue
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _parse_answer(el: ET.Element, key: str,
     if value_text:
         value = values.get(value_text)
         if value is None:
-            value = values[value_text] = parse_value(value_text)
+            value = values[value_text] = TimeValue(value_text)
     return DatedAnswer(text=(el.text or "").strip(), rank=rank, value=value)
 
 

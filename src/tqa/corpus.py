@@ -15,8 +15,8 @@ blocks:
     </Q>
 
 A system decomposition renders as the same layout minus ANSWER.  TE
-values are validated against the canonical grammar (brackets
-tolerated) but stored verbatim, so loading and writing round-trip.
+values are read into ``TimeValue``s and written in canonical form, so
+``[A-B]`` is read as ``A-B``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from xml.etree import ElementTree as ET
 from .decomposition import DecomposedQuestion
 from .errors import MalformedValue, SchemaViolation, read_xml
 from .packs import DATA_DIR
-from .time_model import parse_value
+from .time_model import TimeValue
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class GoldQuestion:
     id: int
     question: str
     qtype: int
-    tes: tuple[tuple[str, str], ...] = ()
+    tes: tuple[tuple[str, TimeValue], ...] = ()
     signal: str | None = None
     q_focus: str | None = None
     q_rest: str | None = None
@@ -46,34 +46,24 @@ class GoldQuestion:
 
     def __post_init__(self):
         if self.qtype not in (1, 2, 3, 4):
-            raise SchemaViolation(f"Q{self.id}: type {self.qtype} not in 1..4",
-                                  qid=self.id)
+            raise SchemaViolation(f"Q{self.id}: type {self.qtype} not in 1..4")
         if self.qtype in (3, 4):
             for name, value in (("SIGNAL", self.signal),
                                 ("Q-FOCUS", self.q_focus),
                                 ("Q-REST", self.q_rest)):
                 if not value:
                     raise SchemaViolation(
-                        f"Q{self.id}: type {self.qtype} requires {name}",
-                        qid=self.id)
+                        f"Q{self.id}: type {self.qtype} requires {name}")
         else:
             if self.signal or self.q_focus or self.q_rest:
                 raise SchemaViolation(
-                    f"Q{self.id}: type {self.qtype} takes no signal or split",
-                    qid=self.id)
+                    f"Q{self.id}: type {self.qtype} takes no signal or split")
         if self.qtype in (2, 3):
             if not self.tes:
                 raise SchemaViolation(
-                    f"Q{self.id}: type {self.qtype} requires a TE", qid=self.id)
+                    f"Q{self.id}: type {self.qtype} requires a TE")
         elif self.tes:
-            raise SchemaViolation(
-                f"Q{self.id}: type {self.qtype} takes no TE", qid=self.id)
-        for surface, value in self.tes:
-            try:
-                parse_value(value)
-            except MalformedValue as exc:
-                raise SchemaViolation(f"Q{self.id}: TE {surface!r}: {exc}",
-                                      qid=self.id)
+            raise SchemaViolation(f"Q{self.id}: type {self.qtype} takes no TE")
 
 
 @dataclass(frozen=True)
@@ -96,7 +86,7 @@ def _text(el, tag, qid) -> str | None:
         return None
     value = (child.text or "").strip()
     if not value:
-        raise SchemaViolation(f"Q{qid}: empty {tag} element", qid=qid)
+        raise SchemaViolation(f"Q{qid}: empty {tag} element")
     return value
 
 
@@ -107,18 +97,23 @@ def _parse_q(el: ET.Element) -> GoldQuestion:
         raise SchemaViolation(f"bad Q id {el.get('id')!r}")
     question = _text(el, "QUESTION", qid)
     if question is None:
-        raise SchemaViolation(f"Q{qid}: missing QUESTION", qid=qid)
+        raise SchemaViolation(f"Q{qid}: missing QUESTION")
     type_text = _text(el, "TYPE", qid)
     if type_text is None:
-        raise SchemaViolation(f"Q{qid}: missing TYPE", qid=qid)
+        raise SchemaViolation(f"Q{qid}: missing TYPE")
     try:
         qtype = int(type_text)
     except ValueError:
-        raise SchemaViolation(f"Q{qid}: bad TYPE {type_text!r}", qid=qid)
-    tes = tuple(((te.text or "").strip(), te.get("value", ""))
-                for te in el.findall("TE"))
+        raise SchemaViolation(f"Q{qid}: bad TYPE {type_text!r}")
+    tes = []
+    for te in el.findall("TE"):
+        surface = (te.text or "").strip()
+        try:
+            tes.append((surface, TimeValue(te.get("value", ""))))
+        except MalformedValue as exc:
+            raise SchemaViolation(f"Q{qid}: TE {surface!r}: {exc}")
     return GoldQuestion(
-        id=qid, question=question, qtype=qtype, tes=tes,
+        id=qid, question=question, qtype=qtype, tes=tuple(tes),
         signal=_text(el, "SIGNAL", qid),
         q_focus=_text(el, "Q-FOCUS", qid),
         q_rest=_text(el, "Q-REST", qid),
@@ -128,9 +123,6 @@ def _parse_q(el: ET.Element) -> GoldQuestion:
 def load_testbed(source) -> Testbed:
     """Parse a testbed document; invariants are enforced per question."""
     root = read_xml(source, SchemaViolation)
-    if root.tag == "Q":  # a bare block, as printed by the CLI
-        return Testbed(language=root.get("lang", "en"),
-                       ref=date(2008, 1, 1), questions=(_parse_q(root),))
     if root.tag != "TESTBED":
         raise SchemaViolation(f"root element {root.tag!r}, expected TESTBED")
     ref_text = root.get("ref", "")
@@ -147,7 +139,7 @@ def _q_element(q: GoldQuestion) -> ET.Element:
     el = ET.Element("Q", id=str(q.id))
     ET.SubElement(el, "QUESTION").text = q.question
     for surface, value in q.tes:
-        te = ET.SubElement(el, "TE", value=value)
+        te = ET.SubElement(el, "TE", value=value.canonical)
         te.text = surface
     ET.SubElement(el, "TYPE").text = str(q.qtype)
     if q.signal is not None:
@@ -179,7 +171,7 @@ def decomposition_to_element(analysis: DecomposedQuestion,
     raises SchemaViolation."""
     return _q_element(GoldQuestion(
         id=qid, question=analysis.original, qtype=analysis.qtype,
-        tes=tuple((t.surface, t.value.canonical) for t in analysis.tes),
+        tes=tuple((t.surface, t.value) for t in analysis.tes),
         signal=analysis.signal.surface if analysis.signal else None,
         q_focus=analysis.q_focus, q_rest=analysis.q_restriction))
 

@@ -162,7 +162,7 @@ def synthesize_when_question(clause: str, pack: LanguagePack,
                     "verb": tokens[0], "rest": " ".join(tokens[1:]),
                     "clause": clause}, pack)
         elif kind == "aux":
-            m = template.regex.match(clause) if template.pattern else None
+            m = template.regex.match(clause)
             if m:
                 groups = {k: v or "" for k, v in m.groupdict().items()}
                 groups["clause"] = clause

@@ -32,10 +32,6 @@ class UnsplittableQuestion(TqaError):
 class SchemaViolation(TqaError):
     """A testbed or fixture document violates the annotation schema."""
 
-    def __init__(self, message, qid=None):
-        super().__init__(message)
-        self.qid = qid
-
 
 class PackInvalid(TqaError):
     """A language pack fails validation; the message names the invariant."""

@@ -19,7 +19,6 @@ from .errors import EmptyPopulation
 from .packs import LanguagePack
 from .tagger import TemporalExpressionTag
 from .textnorm import normalize_key, tokenize
-from .time_model import parse_value
 
 
 class Aspect(enum.Enum):
@@ -141,7 +140,7 @@ def judge_decomposition(system: DecomposedQuestion, gold: GoldQuestion,
             continue
         if aspect is Aspect.TE:
             acted = bool(system.tes)
-            want = sorted((s, parse_value(v).canonical) for s, v in gold.tes)
+            want = sorted((s, v.canonical) for s, v in gold.tes)
             correct = acted and sorted(
                 (t.surface, t.value.canonical) for t in system.tes) == want
         elif aspect is Aspect.TYPE:
@@ -235,7 +234,7 @@ class EvalReport:
 def gold_tags(gold: GoldQuestion, question: str) -> list[TemporalExpressionTag]:
     """Materialize gold TE annotations as tagger output for injection."""
     tags, cursor = [], 0
-    for surface, value_text in gold.tes:
+    for surface, value in gold.tes:
         begin = question.find(surface, cursor)
         if begin < 0:
             begin = question.casefold().find(surface.casefold(), cursor)
@@ -243,7 +242,7 @@ def gold_tags(gold: GoldQuestion, question: str) -> list[TemporalExpressionTag]:
             continue
         tags.append(TemporalExpressionTag(
             surface=question[begin:begin + len(surface)], begin=begin,
-            end=begin + len(surface), value=parse_value(value_text)))
+            end=begin + len(surface), value=value))
         cursor = begin + len(surface)
     return tags
 

@@ -117,7 +117,7 @@ class ClauseTemplate:
 
     @cached_property
     def regex(self) -> re.Pattern:
-        """The compiled ``pattern``; read only when it is set."""
+        """The compiled ``pattern``, which only an aux template has."""
         return _compile(self.pattern, f"{self.kind} clause template")
 
 
@@ -240,6 +240,11 @@ def validate_pack(pack: LanguagePack) -> LanguagePack:
     for template in pack.clause_templates:
         if template.kind not in TEMPLATE_KINDS:
             raise PackInvalid(f"unknown clause template kind {template.kind!r}")
+        if template.kind == "aux" and not template.pattern:
+            raise PackInvalid("aux clause template has no PATTERN")
+        if template.kind != "aux" and template.pattern is not None:
+            raise PackInvalid(
+                f"{template.kind} clause template takes no PATTERN")
     if not any(t.kind == "fallback" for t in pack.clause_templates):
         raise PackInvalid("clause templates lack a fallback entry")
     if not pack.stopwords:
@@ -251,7 +256,7 @@ def compile_patterns(pack: LanguagePack) -> None:
     """Compile every pattern the pipeline reads and bind every rule's op,
     raising PackInvalid for the first fault.  Loading leaves each to
     happen on first use; this check is for ``tqa pack-validate``."""
-    aux = [t for t in pack.clause_templates if t.kind == "aux" and t.pattern]
+    aux = [t for t in pack.clause_templates if t.kind == "aux"]
     for rule in pack.te_rules:
         rule.binding  # compiles the rule's pattern too
     for item in (*pack.signals, *aux):

@@ -14,7 +14,7 @@ from datetime import MAXYEAR, date, timedelta
 
 from .errors import MalformedValue, OutOfCalendar, PackInvalid
 from .packs import _UNITS, LanguagePack, TagRule
-from .time_model import DayInterval, TimeValue, parse_value
+from .time_model import DayInterval, TimeValue
 
 #: Reference date anchoring deictic and relative expressions.
 ReferenceDate = date
@@ -116,13 +116,16 @@ def _op_year(m, arg, pack, ref):
 
 
 def _op_year_range(m, arg, pack, ref):
-    return TimeValue.of_range(TimeValue.of_year(int(m.group("a"))),
-                              TimeValue.of_year(int(m.group("b"))))
+    a = _year_from_text(m.group("a"), pack, ref)
+    b = _year_from_text(m.group("b"), pack, ref)
+    if a is None or b is None:
+        return None
+    return TimeValue.of_range(TimeValue.of_year(a), TimeValue.of_year(b))
 
 
 def _op_decade(m, arg, pack, ref):
     text = m.group("d").casefold()
-    if text.isdigit():
+    if text.isdecimal():
         if len(text) == 4:
             first = int(text)
         else:
@@ -151,16 +154,17 @@ def _op_century(m, arg, pack, ref):
 
 def _op_month_number(m, arg, pack, ref):
     month = pack.months.get(m.group("m").casefold())
-    if month is None:
+    n = pack.parse_number(m.group("n"))
+    if month is None or n is None:
         return None
-    n = int(m.group("n"))
     year_text = m.groupdict().get("y")
+    if year_text:
+        year = _year_from_text(year_text, pack, ref)
+        if year is None or n > 31:  # "august 90 1990" is no expression
+            return None
+        return TimeValue.of_date(year, month, n)
     if n <= 31:
-        if year_text:
-            return TimeValue.of_date(int(year_text), month, n)
         return TimeValue.of_month_day(month, n)
-    if year_text:  # "august 90 1990" is no expression
-        return None
     if 100 <= n <= 999:  # "april 500" names no month
         return None
     year = n if n >= 1000 else _pivot_year(n, ref)
@@ -203,7 +207,7 @@ def _count(text: str) -> int:
 #: Normalization ops: name -> (function, the pattern groups it requires,
 #: and the (key, default, reader) of the ARG it reads, if any).
 _OPS = {
-    "literal": (_op_literal, (), ("value", None, parse_value)),
+    "literal": (_op_literal, (), ("value", None, TimeValue)),
     "year": (_op_year, ("y",), None),
     "year-range": (_op_year_range, ("a", "b"), None),
     "decade": (_op_decade, ("d",), None),

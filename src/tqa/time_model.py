@@ -49,10 +49,6 @@ class DayInterval:
         if self.start > self.end:
             raise ValueError(f"interval start {self.start} after end {self.end}")
 
-    @classmethod
-    def of_year(cls, year: int) -> "DayInterval":
-        return cls(date(year, 1, 1), date(year, 12, 31))
-
     def overlaps(self, other: "DayInterval") -> bool:
         return self.start <= other.end and other.start <= self.end
 
@@ -174,11 +170,6 @@ class TimeValue:
         # year-like, or a pair that prints as a calendar month ("1150-12"),
         # are rejected rather than read as another value
         return cls(f"[{low.canonical}-{high.canonical}]")
-
-
-def parse_value(text: str) -> TimeValue:
-    """Parse a canonical value string; '[A-B]' normalizes to the range A-B."""
-    return TimeValue(text)
 
 
 def to_interval(v: TimeValue) -> DayInterval:

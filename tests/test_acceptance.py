@@ -153,7 +153,7 @@ def test_criterion_2_gold_expression_values(en_pack, es_pack, testbed_en,
         for gold in testbed.questions:
             got = [(t.surface, t.value.canonical)
                    for t in tag(gold.question, pack, testbed.ref)]
-            want = [(s, v.strip("[]")) for s, v in gold.tes]
+            want = [(s, v.canonical) for s, v in gold.tes]
             assert got == want, f"{pack.code} Q{gold.id}: {got} != {want}"
             seen[pack.code].update(dict(got))
             total += len(want)
@@ -268,7 +268,7 @@ def test_criterion_6_oracle_equivalence():
 
 def _random_fixture_store(rng: random.Random):
     from tqa.backend import FixtureStore
-    from tqa.time_model import parse_value
+    from tqa.time_model import TimeValue
     entries = {}
     for k in range(rng.randint(1, 6)):
         answers = []
@@ -277,7 +277,7 @@ def _random_fixture_store(rng: random.Random):
                                 "1990-08-15", "XXXX-08-15"])
             answers.append(DatedAnswer(
                 text=f"answer {k} {rank}", rank=rank,
-                value=parse_value(value) if value else None))
+                value=TimeValue(value) if value else None))
         entries[f"question {k} of set"] = tuple(answers)
     return FixtureStore(entries=entries, ref=date(2008, 1, 1), language="en")
 
@@ -321,7 +321,7 @@ def _full_language_suite(pack, testbed, store):
     for gold in testbed.questions:
         analysis = decompose(gold.question, pack, testbed.ref)
         got = [(t.surface, t.value.canonical) for t in analysis.tes]
-        assert got == [(s, v.strip("[]")) for s, v in gold.tes]
+        assert got == [(s, v.canonical) for s, v in gold.tes]
         assert analysis.qtype == gold.qtype
         if gold.qtype in (3, 4):
             judged = {j.aspect: j for j in

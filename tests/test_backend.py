@@ -18,7 +18,7 @@ from tqa.backend import (
 from tqa.errors import Diagnostic, SchemaViolation
 from tqa.packs import DATA_DIR
 from tqa.recomposition import DatedAnswer
-from tqa.time_model import parse_value
+from tqa.time_model import TimeValue
 
 from conftest import REF
 
@@ -151,8 +151,8 @@ def test_custom_backend_capability(en_pack):
         def answer(self, query):
             if "study" in query.question:
                 return [DatedAnswer("Georgetown University", 1,
-                                    parse_value("1964-1968"))]
-            return [DatedAnswer("1968", 1, parse_value("1968"))]
+                                    TimeValue("1964-1968"))]
+            return [DatedAnswer("1968", 1, TimeValue("1968"))]
 
     result = answer_complex_question(
         "Where did Bill Clinton study before going to Oxford University?",

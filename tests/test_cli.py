@@ -24,7 +24,8 @@ def test_decompose_worked_example(capsys):
                        "going to Oxford University?")
     assert code == 0
     assert "<Q-FOCUS>Where did Bill Clinton study?</Q-FOCUS>" in out
-    (q,) = load_testbed(out.encode("utf-8")).questions
+    doc = f'<TESTBED lang="en" ref="2008-01-01">{out}</TESTBED>'
+    (q,) = load_testbed(doc.encode("utf-8")).questions
     assert q.qtype == 4
 
 
@@ -361,6 +362,28 @@ def test_literal_rule_without_value_is_invalid(capsys, tmp_path, lang, old,
 ], ids=["spoken-year", "month-year", "year-range", "decade-word"])
 def test_year_past_9999_gets_no_tag(capsys, tmp_path, old, new, question,
                                     tags):
+    pack_dir = _edited_pack(tmp_path, old, new)
+    assert run(capsys, "tag", "--pack", pack_dir, question) == (0, tags, "")
+    assert run(capsys, "answer", "--pack", pack_dir, question) == (
+        0, "", "NOACT\n")
+
+
+@pytest.mark.parametrize("old,new,question,tags", [
+    # number words after a month name read as the day
+    (rb"(?P&lt;n&gt;\d{1,4})", rb"(?P&lt;n&gt;\w{1,4})",
+     "What happened in august four?",
+     '<TE value="XXXX-08-04">august four</TE>\n'),
+    # a year-pair bound that reads as no year leaves the plain year
+    (rb"<PATTERN>(?P&lt;a&gt;[12]\d{3})\s*",
+     rb"<PATTERN>(?P&lt;a&gt;\w{4})\s*",
+     "Who won in abcd-1975?", '<TE value="1975">1975</TE>\n'),
+    # a superscript digit is a digit but not a decimal one
+    (rb"<PATTERN>(?:the\s+)?'?(?P&lt;d&gt;\d{3}0|\d0)s</PATTERN>",
+     rb"<PATTERN>(?:the\s+)?'?(?P&lt;d&gt;\w0)s</PATTERN>",
+     "Who won in the \u00b20s?", ""),
+], ids=["month-number-word", "year-range-letters", "decade-superscript"])
+def test_group_capturing_non_digits_is_read_or_untagged(capsys, tmp_path, old,
+                                                        new, question, tags):
     pack_dir = _edited_pack(tmp_path, old, new)
     assert run(capsys, "tag", "--pack", pack_dir, question) == (0, tags, "")
     assert run(capsys, "answer", "--pack", pack_dir, question) == (

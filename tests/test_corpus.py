@@ -17,6 +17,7 @@ from tqa.corpus import (
 )
 from tqa.decomposition import decompose
 from tqa.errors import SchemaViolation
+from tqa.time_model import TimeValue
 
 from conftest import REF
 
@@ -39,7 +40,7 @@ def test_load_annotated_block():
     testbed = load_testbed(MINIMAL)
     (q,) = testbed.questions
     assert q.id == 107
-    assert q.tes == (("the 50s", "195"),)
+    assert q.tes == (("the 50s", TimeValue("195")),)
     assert q.qtype == 3
     assert q.signal == "when"
     assert q.q_focus == "Who won the best actress Oscar award?"
@@ -64,9 +65,8 @@ def test_type3_without_signal_is_schema_violation():
            b"<QUESTION>q?</QUESTION><TE value=\"1990\">1990</TE>"
            b"<TYPE>3</TYPE><Q-FOCUS>f?</Q-FOCUS><Q-REST>r?</Q-REST>"
            b"</Q></TESTBED>")
-    with pytest.raises(SchemaViolation) as err:
+    with pytest.raises(SchemaViolation, match="^Q9: "):
         load_testbed(doc)
-    assert err.value.qid == 9
 
 
 def test_type2_without_te_is_schema_violation():
@@ -89,7 +89,7 @@ def test_bracketed_te_value_is_tolerated():
            b'<QUESTION>q?</QUESTION><TE value="[2003-2008]">x</TE>'
            b"<TYPE>2</TYPE></Q></TESTBED>")
     (q,) = load_testbed(doc).questions
-    assert q.tes == (("x", "[2003-2008]"),)
+    assert q.tes == (("x", TimeValue("2003-2008")),)
 
 
 def test_duplicate_ids_rejected():
@@ -111,7 +111,7 @@ def _random_gold(rng: random.Random, qid: int) -> GoldQuestion:
     if qtype in (2, 3):
         value = rng.choice(["1969", "195", "16", "1990-08", "XXXX-08-15",
                             "1939-1975", "[2003-2008]"])
-        tes = ((f"expr{qid}", value),)
+        tes = ((f"expr{qid}", TimeValue(value)),)
     kwargs = {}
     if qtype in (3, 4):
         kwargs = {"signal": rng.choice(["when", "before", "after"]),
@@ -140,10 +140,20 @@ def test_cli_block_is_loadable(en_pack):
     analysis = decompose("Where did Bill Clinton study before going to "
                          "Oxford University?", en_pack, REF)
     block = format_q_block(decomposition_to_element(analysis, qid=5))
-    (q,) = load_testbed(block.encode("utf-8")).questions
+    doc = f'<TESTBED lang="en" ref="2008-01-01">{block}</TESTBED>'
+    (q,) = load_testbed(doc.encode("utf-8")).questions
     assert q.qtype == 4
     assert q.q_focus == "Where did Bill Clinton study?"
     assert q.answer is None
+
+
+def test_bare_q_block_is_schema_violation(en_pack):
+    analysis = decompose("Who won the prize 3 years ago when Dean died?",
+                         en_pack, date(1990, 1, 1))
+    block = format_q_block(decomposition_to_element(analysis))
+    with pytest.raises(SchemaViolation,
+                       match="root element 'Q', expected TESTBED"):
+        load_testbed(block.encode("utf-8"))
 
 
 def test_unsplit_decomposition_is_no_block(en_pack):

@@ -25,6 +25,7 @@ from tqa.evaluation import (
     render_xml,
     run_evaluation,
 )
+from tqa.time_model import TimeValue
 
 from conftest import REF
 
@@ -159,7 +160,7 @@ def test_partial_signal_surface_judged_incorrect(en_pack):
         id=101, qtype=3,
         question="Who was the Prime Minister of Spain four years after Jose "
                  "Maria Aznar presided Spain between 2000 and 2004?",
-        tes=(("between 2000 and 2004", "2000-2004"),),
+        tes=(("between 2000 and 2004", TimeValue("2000-2004")),),
         signal="four years after",
         q_focus="Who was the Prime Minister of Spain?",
         q_rest="When did Jose Maria Aznar preside Spain between 2000 and "
@@ -200,7 +201,7 @@ def test_dropped_subject_token_fails_split(es_pack):
         id=133, qtype=3,
         question="¿Qué persona ganó el premio Nobel de Literatura cuando "
                  "James Dean nació en el año 31?",
-        tes=(("el año 31", "1931"),),
+        tes=(("el año 31", TimeValue("1931")),),
         signal="cuando",
         q_focus="¿Qué persona ganó el premio Nobel de Literatura?",
         q_rest="¿Cuándo nació James Dean en el año 31?")
@@ -216,7 +217,7 @@ def test_duplicated_clitic_fails_split(es_pack):
         id=110, qtype=3,
         question="¿Quién fue el Presidente de España justo después de que "
                  "se produjera el primer vuelo del Columbia en los años 80?",
-        tes=(("los años 80", "198"),),
+        tes=(("los años 80", TimeValue("198")),),
         signal="después de que",
         q_focus="¿Quién fue el Presidente de España?",
         q_rest="¿Cuándo se produjo el primer vuelo del Columbia en los "
@@ -245,7 +246,8 @@ def test_bracket_normalized_te_judging(es_pack, testbed_es):
 def test_wrong_te_value_judged_incorrect(en_pack):
     gold = GoldQuestion(id=81, qtype=2,
                         question="Who won the Nobel Peace Prize in '91?",
-                        tes=(("'91", "1891"),))  # deliberately different
+                        # deliberately different
+                        tes=(("'91", TimeValue("1891")),))
     judged = _judged(gold.question, gold, en_pack)
     assert judged[Aspect.TE].acted and not judged[Aspect.TE].correct
 
@@ -305,7 +307,7 @@ def test_gold_te_injection_flips_type_judgment(en_pack):
         id=900, qtype=3,
         question="Who was secretary of state when the hostages returned "
                  "in the Reagan era?",
-        tes=(("the Reagan era", "1981-1989"),),
+        tes=(("the Reagan era", TimeValue("1981-1989")),),
         signal="when",
         q_focus="Who was secretary of state?",
         q_rest="When did the hostages return in the Reagan era?")
@@ -320,7 +322,7 @@ def test_gold_te_injection_flips_type_judgment(en_pack):
 def test_gold_tags_materialization(en_pack):
     gold = GoldQuestion(
         id=901, qtype=2, question="What happened in the Reagan era?",
-        tes=(("the Reagan era", "1981-1989"),))
+        tes=(("the Reagan era", TimeValue("1981-1989")),))
     (tag,) = gold_tags(gold, gold.question)
     assert tag.surface == "the Reagan era"
     assert gold.question[tag.begin:tag.end] == tag.surface

@@ -16,7 +16,6 @@ and say why the output moved.
 from __future__ import annotations
 
 import io
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -78,4 +77,3 @@ if __name__ == "__main__":
     for lang in LANGS:
         (GOLDEN / f"cli_{lang}.txt").write_bytes(
             cli_transcript(lang).encode("utf-8"))
-    sys.exit(0)

@@ -184,6 +184,24 @@ def test_missing_fallback_template_is_invalid(en_pack):
         validate_pack(dataclasses.replace(en_pack, clause_templates=pruned))
 
 
+@pytest.mark.parametrize("pattern", [None, ""], ids=["missing", "empty"])
+def test_aux_template_without_pattern_is_invalid(en_pack, pattern):
+    templates = tuple(dataclasses.replace(t, pattern=pattern)
+                      if t.kind == "aux" else t
+                      for t in en_pack.clause_templates)
+    with pytest.raises(PackInvalid, match="aux clause template has no"):
+        validate_pack(dataclasses.replace(en_pack, clause_templates=templates))
+
+
+def test_pattern_on_a_non_aux_template_is_invalid(en_pack):
+    templates = tuple(dataclasses.replace(t, pattern="^(?P<clause>.+)$")
+                      if t.kind == "fallback" else t
+                      for t in en_pack.clause_templates)
+    with pytest.raises(PackInvalid,
+                       match="fallback clause template takes no PATTERN"):
+        validate_pack(dataclasses.replace(en_pack, clause_templates=templates))
+
+
 def test_duplicate_rule_names_are_invalid(en_pack):
     doubled = en_pack.te_rules + (en_pack.te_rules[0],)
     with pytest.raises(PackInvalid):

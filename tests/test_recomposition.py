@@ -17,12 +17,12 @@ from tqa.recomposition import (
     filter_by_te,
     recompose,
 )
-from tqa.time_model import DayInterval, Relation, parse_value, to_interval
+from tqa.time_model import DayInterval, Relation, TimeValue, to_interval
 
 
 def answer(text, rank, value=None):
     return DatedAnswer(text=text, rank=rank,
-                       value=parse_value(value) if value else None)
+                       value=TimeValue(value) if value else None)
 
 
 STUDY_ANSWERS = [
@@ -38,24 +38,24 @@ def texts(result):
 
 
 def test_filter_keeps_overlapping_answers():
-    sixties = to_interval(parse_value("196"))
+    sixties = to_interval(TimeValue("196"))
     answers = [answer("1967", 1, "1967"), answer("1999", 2, "1999")]
     assert [a.text for a in filter_by_te(answers, sixties)] == ["1967"]
 
 
 def test_filter_empty_input():
-    assert filter_by_te([], to_interval(parse_value("196"))) == []
+    assert filter_by_te([], to_interval(TimeValue("196"))) == []
 
 
 def test_filter_keeps_overlapping_range():
-    sixties = to_interval(parse_value("196"))
+    sixties = to_interval(TimeValue("196"))
     spanning = [answer("x", 1, "1968-1972")]
     assert filter_by_te(spanning, sixties) == spanning
 
 
 def test_filter_keeps_undated():
     undated = [answer("no date", 1)]
-    assert filter_by_te(undated, to_interval(parse_value("196"))) == undated
+    assert filter_by_te(undated, to_interval(TimeValue("196"))) == undated
 
 
 @pytest.mark.parametrize("key,expected", [
@@ -68,7 +68,7 @@ def test_recompose_study_example(key, expected):
 
 
 def test_recompose_without_key_filters_only():
-    constraint = to_interval(parse_value("1992"))
+    constraint = to_interval(TimeValue("1992"))
     answers = [answer("Beijing", 1, "2008"), answer("Barcelona", 2, "1992")]
     result = recompose(answers, [], None, [constraint])
     assert texts(result) == ["Barcelona"]
@@ -82,7 +82,7 @@ def test_recompose_no_restriction_answer():
 
 
 def test_recompose_restriction_filtered_away():
-    constraint = to_interval(parse_value("199"))
+    constraint = to_interval(TimeValue("199"))
     result = recompose(STUDY_ANSWERS, RESTRICTION, Relation.BEFORE, [constraint])
     assert result.answers == ()
     assert Diagnostic.NO_RESTRICTION_ANSWER in result.diagnostics
@@ -106,7 +106,7 @@ def test_recompose_undated_reference_keeps_nothing():
 
 def test_recompose_undated_passthrough_diagnostic():
     focus = [answer("undated", 1)]
-    constraint = to_interval(parse_value("1992"))
+    constraint = to_interval(TimeValue("1992"))
     result = recompose(focus, [], None, [constraint])
     assert texts(result) == ["undated"]
     assert Diagnostic.UNDATED_PASSTHROUGH in result.diagnostics
@@ -121,7 +121,7 @@ def test_recompose_preserves_backend_order():
 
 
 def test_recompose_undated_restriction_passthrough_diagnostic():
-    constraint = to_interval(parse_value("196"))
+    constraint = to_interval(TimeValue("196"))
     restriction = [answer("undated", 1), answer("1968", 2, "1968")]
     result = recompose(STUDY_ANSWERS, restriction, Relation.BEFORE,
                        [constraint])
@@ -131,7 +131,7 @@ def test_recompose_undated_restriction_passthrough_diagnostic():
 
 
 def test_recompose_all_dated_has_no_passthrough_diagnostic():
-    constraint = to_interval(parse_value("196"))
+    constraint = to_interval(TimeValue("196"))
     result = recompose(STUDY_ANSWERS, RESTRICTION, Relation.BEFORE,
                        [constraint])
     assert texts(result) == ["Georgetown University"]
@@ -146,7 +146,7 @@ def test_dated_answer_has_no_instance_dict():
                                    "1968-1970", "1968-10-05"])
 def test_dated_answer_interval_is_the_values(value):
     dated = answer("x", 1, value)
-    want = None if value is None else parse_value(value).interval
+    want = None if value is None else TimeValue(value).interval
     assert dated.interval == want
 
 
@@ -155,12 +155,12 @@ def test_dated_answer_equality_hash_and_repr_ignore_interval():
     assert read.interval is not None
     assert read == unread and hash(read) == hash(unread)
     assert repr(read) == repr(unread) and "interval" not in repr(read)
-    replaced = dataclasses.replace(read, value=parse_value("1970"))
-    assert replaced.interval == to_interval(parse_value("1970"))
+    replaced = dataclasses.replace(read, value=TimeValue("1970"))
+    assert replaced.interval == to_interval(TimeValue("1970"))
 
 
 def test_dated_answer_interval_is_set_at_construction():
-    value = parse_value("1968")
+    value = TimeValue("1968")
     dated = DatedAnswer(text="x", rank=1, value=value)
     slot = DatedAnswer.__dict__["interval"]
     assert slot.__get__(dated, DatedAnswer) is value.interval
@@ -192,9 +192,9 @@ def test_filter_is_monotone_subset(constraint, tighter, intervals):
 
 
 def _value_for(interval: DayInterval):
-    lo = parse_value(f"{interval.start.year:04d}-{interval.start.month:02d}-"
+    lo = TimeValue(f"{interval.start.year:04d}-{interval.start.month:02d}-"
                      f"{interval.start.day:02d}")
-    hi = parse_value(f"{interval.end.year:04d}-{interval.end.month:02d}-"
+    hi = TimeValue(f"{interval.end.year:04d}-{interval.end.month:02d}-"
                      f"{interval.end.day:02d}")
     if lo == hi:
         return lo

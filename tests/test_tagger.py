@@ -76,7 +76,7 @@ def test_full_testbed_coverage(en_pack, es_pack, testbed_en, testbed_es):
         for gold in testbed.questions:
             tags = tag(gold.question, pack, testbed.ref)
             got = [(t.surface, t.value.canonical) for t in tags]
-            want = [(s, v.strip("[]")) for s, v in gold.tes]
+            want = [(s, v.canonical) for s, v in gold.tes]
             assert got == want, f"{pack.code} Q{gold.id}"
 
 
