@@ -36,8 +36,7 @@ _EXPORTS = {
     "packs": ("LanguagePack", "get_pack", "load_pack", "serialize_pack"),
     "recomposition": ("ComplexAnswer", "DatedAnswer", "filter_by_te",
                       "recompose"),
-    "tagger": ("ReferenceDate", "TemporalExpressionTag", "resolve_relative",
-               "tag"),
+    "tagger": ("TemporalExpressionTag", "resolve_relative", "tag"),
     "textnorm": (),
     "time_model": (
         "DayInterval", "Relation", "TimeValue", "relation_holds",

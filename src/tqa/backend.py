@@ -9,14 +9,15 @@ QA service so that end-to-end behavior is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from typing import Protocol
 from xml.etree import ElementTree as ET
 
 from .decomposition import DecomposedQuestion, decompose
-from .errors import Diagnostic, SchemaViolation, TqaError, iter_xml
+from .errors import (Diagnostic, SchemaViolation, TqaError, iter_xml,
+                     write_xml)
 from .packs import DATA_DIR, LanguagePack
 from .recomposition import ComplexAnswer, DatedAnswer, recompose
-from .tagger import ReferenceDate
 from .textnorm import normalize_key
 from .time_model import TimeValue
 
@@ -43,7 +44,7 @@ class FixtureStore:
     """Deterministic backend: normalized question key -> ranked answers."""
 
     entries: dict[str, tuple[DatedAnswer, ...]]
-    ref: ReferenceDate
+    ref: date
     language: str = "en"
 
     def __post_init__(self):
@@ -108,7 +109,7 @@ def load_fixtures(source) -> FixtureStore:
         raise SchemaViolation(f"root element {root.tag!r}, expected FIXTURES")
     ref_text = root.get("ref", "")
     try:
-        ref = ReferenceDate.fromisoformat(ref_text)
+        ref = date.fromisoformat(ref_text)
     except ValueError:
         raise SchemaViolation(f"bad fixture reference date {ref_text!r}")
     entries = {}
@@ -133,9 +134,14 @@ def write_fixtures(store: FixtureStore) -> bytes:
                 attrs["value"] = answer.value.canonical
             el = ET.SubElement(fq, "A", attrs)
             el.text = answer.text
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    return write_xml(root)
+
+
+def check_language(what: str, language: str, pack: LanguagePack) -> None:
+    """SchemaViolation unless a file's ``language`` is the pack's code."""
+    if language != pack.code:
+        raise SchemaViolation(f"{what} language {language!r} does not match "
+                              f"pack {pack.code!r}")
 
 
 def shipped_fixtures(language: str) -> FixtureStore:
@@ -147,7 +153,7 @@ def shipped_fixtures(language: str) -> FixtureStore:
 
 
 def answer_complex_question(question: str, pack: LanguagePack,
-                            ref: ReferenceDate, backend: QABackend,
+                            ref: date, backend: QABackend,
                             ) -> ComplexAnswer:
     """Decompose, query the backend, recompose.  Never raises for content
     problems: failures surface as diagnostics with an empty answer list."""

@@ -28,7 +28,7 @@ from .errors import (
     SchemaViolation,
     TqaError,
 )
-from .packs import compile_patterns, get_pack
+from .packs import get_pack
 
 DEFAULT_REF = date(2008, 1, 1)
 
@@ -122,13 +122,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_answer(args) -> int:
-    from .backend import (answer_complex_question, load_fixtures,
-                          shipped_fixtures)
+    from .backend import (answer_complex_question, check_language,
+                          load_fixtures, shipped_fixtures)
     pack = get_pack(args.lang, args.pack)
     if args.fixtures:
         store = load_fixtures(args.fixtures)
     else:
         store = shipped_fixtures(args.lang)
+    check_language("fixture", store.language, pack)
     result = answer_complex_question(args.question, pack,
                                      _resolve_ref(args, store.ref), store)
     for diagnostic in result.diagnostics:
@@ -170,7 +171,7 @@ def cmd_eval(args) -> int:
 
 def cmd_pack_validate(args) -> int:
     pack = get_pack(args.lang, args.pack)
-    compile_patterns(pack)
+    pack.compiled  # compiles every pattern and binds every rule
     print(f"OK {pack.code}: {len(pack.signals)} signals, "
           f"{len(pack.te_rules)} expression rules, "
           f"{len(pack.clause_templates)} clause templates")

@@ -26,7 +26,7 @@ from datetime import date
 from xml.etree import ElementTree as ET
 
 from .decomposition import DecomposedQuestion
-from .errors import MalformedValue, SchemaViolation, read_xml
+from .errors import MalformedValue, SchemaViolation, read_xml, write_xml
 from .packs import DATA_DIR
 from .time_model import TimeValue
 
@@ -80,13 +80,12 @@ class Testbed:
             raise SchemaViolation("duplicate question ids in testbed")
 
 
-def _text(el, tag, qid) -> str | None:
-    child = el.find(tag)
+def _text(child: ET.Element | None, qid) -> str | None:
     if child is None:
         return None
     value = (child.text or "").strip()
     if not value:
-        raise SchemaViolation(f"Q{qid}: empty {tag} element")
+        raise SchemaViolation(f"Q{qid}: empty {child.tag} element")
     return value
 
 
@@ -95,10 +94,10 @@ def _parse_q(el: ET.Element) -> GoldQuestion:
         qid = int(el.get("id", ""))
     except ValueError:
         raise SchemaViolation(f"bad Q id {el.get('id')!r}")
-    question = _text(el, "QUESTION", qid)
+    question = _text(el.find("QUESTION"), qid)
     if question is None:
         raise SchemaViolation(f"Q{qid}: missing QUESTION")
-    type_text = _text(el, "TYPE", qid)
+    type_text = _text(el.find("TYPE"), qid)
     if type_text is None:
         raise SchemaViolation(f"Q{qid}: missing TYPE")
     try:
@@ -107,17 +106,17 @@ def _parse_q(el: ET.Element) -> GoldQuestion:
         raise SchemaViolation(f"Q{qid}: bad TYPE {type_text!r}")
     tes = []
     for te in el.findall("TE"):
-        surface = (te.text or "").strip()
+        surface = _text(te, qid)
         try:
             tes.append((surface, TimeValue(te.get("value", ""))))
         except MalformedValue as exc:
             raise SchemaViolation(f"Q{qid}: TE {surface!r}: {exc}")
     return GoldQuestion(
         id=qid, question=question, qtype=qtype, tes=tuple(tes),
-        signal=_text(el, "SIGNAL", qid),
-        q_focus=_text(el, "Q-FOCUS", qid),
-        q_rest=_text(el, "Q-REST", qid),
-        answer=_text(el, "ANSWER", qid))
+        signal=_text(el.find("SIGNAL"), qid),
+        q_focus=_text(el.find("Q-FOCUS"), qid),
+        q_rest=_text(el.find("Q-REST"), qid),
+        answer=_text(el.find("ANSWER"), qid))
 
 
 def load_testbed(source) -> Testbed:
@@ -158,9 +157,7 @@ def write_testbed(testbed: Testbed) -> bytes:
                       ref=testbed.ref.isoformat())
     for q in testbed.questions:
         root.append(_q_element(q))
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    return write_xml(root)
 
 
 def decomposition_to_element(analysis: DecomposedQuestion,

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from datetime import date
 
 from .errors import Diagnostic, UnsplittableQuestion
 from .packs import ClauseTemplate, LanguagePack
-from .tagger import ReferenceDate, TemporalExpressionTag, tag
+from .tagger import TemporalExpressionTag, tag
 from .time_model import Relation
 
 
@@ -64,8 +65,8 @@ def detect_signal(question: str, tes: list[TemporalExpressionTag],
     """
     first_word = _first_word_start(question)
     candidates = []
-    for order, entry in enumerate(pack.signals):
-        for m in entry.regex.finditer(question):
+    for order, regex in enumerate(pack.compiled.signals):
+        for m in regex.finditer(question):
             if m.start() == first_word:
                 continue
             if any(t.begin <= m.start() and m.end() <= t.end for t in tes):
@@ -82,7 +83,7 @@ def detect_signal(question: str, tes: list[TemporalExpressionTag],
     end = -neg_end
     entry = pack.signals[order]
     modifier = None
-    mod_match = pack.modifier_regex.search(question[:start])
+    mod_match = pack.compiled.modifier.search(question[:start])
     if mod_match:
         modifier = mod_match.group("mod")
         begin = mod_match.start("mod")
@@ -162,7 +163,7 @@ def synthesize_when_question(clause: str, pack: LanguagePack,
                     "verb": tokens[0], "rest": " ".join(tokens[1:]),
                     "clause": clause}, pack)
         elif kind == "aux":
-            m = template.regex.match(clause)
+            m = pack.compiled.aux[template.pattern].match(clause)
             if m:
                 groups = {k: v or "" for k, v in m.groupdict().items()}
                 groups["clause"] = clause
@@ -201,7 +202,7 @@ def split(question: str, signal: SignalMatch,
     return q_focus, q_restriction
 
 
-def decompose(question: str, pack: LanguagePack, ref: ReferenceDate,
+def decompose(question: str, pack: LanguagePack, ref: date,
               tes: list[TemporalExpressionTag] | None = None) -> DecomposedQuestion:
     """Full decomposition pipeline: tag, detect signal, classify, split.
 

@@ -1,6 +1,6 @@
 """Exception types and the diagnostic vocabulary shared across the
-package, and the XML reader that turns a malformed document into an
-exception."""
+package, the XML reader that turns a malformed document into an
+exception, and the one XML writer."""
 
 import enum
 import io
@@ -77,3 +77,10 @@ def read_xml(source, error: type[TqaError]) -> ET.Element:
     for root in iter_xml(source, error):
         pass
     return root
+
+
+def write_xml(root: ET.Element) -> bytes:
+    """A document as the package writes every XML file: UTF-8 with a
+    declaration, indented two spaces.  Indents ``root`` in place."""
+    ET.indent(root, space="  ")
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True)

@@ -12,10 +12,10 @@ import enum
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
-from .backend import FixtureStore, answer_decomposed
+from .backend import FixtureStore, answer_decomposed, check_language
 from .corpus import GoldQuestion, Testbed
 from .decomposition import DecomposedQuestion, decompose
-from .errors import EmptyPopulation
+from .errors import EmptyPopulation, write_xml
 from .packs import LanguagePack
 from .tagger import TemporalExpressionTag
 from .textnorm import normalize_key, tokenize
@@ -280,7 +280,11 @@ def run_evaluation(testbed: Testbed, pack: LanguagePack,
                    store: FixtureStore | None = None,
                    gold_te_injection: bool = False) -> EvalReport:
     """Decompose (and answer, when fixtures are given) every gold question
-    and aggregate counts per aspect and per question type."""
+    and aggregate counts per aspect and per question type.  A testbed or
+    store in another language than the pack's raises SchemaViolation."""
+    check_language("testbed", testbed.language, pack)
+    if store is not None:
+        check_language("fixture", store.language, pack)
     if not testbed.questions:
         raise EmptyPopulation("empty testbed")
     extension_rules = {rule.name for rule in pack.te_rules
@@ -388,6 +392,4 @@ def render_xml(report: EvalReport) -> bytes:
         for row in rows:
             ET.SubElement(section, "ROW",
                           {"label": row.label, **_figures(row, with_qa)})
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    return write_xml(root)

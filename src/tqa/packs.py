@@ -16,9 +16,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
-from .errors import PackInvalid, read_xml
+from .errors import PackInvalid, read_xml, write_xml
 from .time_model import Relation
 
 #: The package's data directory: built-in packs (<code>.xml), testbeds and
@@ -74,10 +75,6 @@ class SignalEntry:
     pattern: str
     relation: Relation
 
-    @cached_property
-    def regex(self) -> re.Pattern:
-        return _bounded(self.pattern, f"signal {self.base!r}")
-
 
 @dataclass(frozen=True)
 class TagRule:
@@ -87,18 +84,6 @@ class TagRule:
     op: str
     pattern: str
     args: tuple[tuple[str, str], ...] = ()
-
-    @cached_property
-    def regex(self) -> re.Pattern:
-        return _bounded(self.pattern, f"rule {self.name!r}")
-
-    @cached_property
-    def binding(self):
-        """The rule's compiled pattern, normalization function and parsed
-        ARG, bound on first use by ``tagger.bind_rule``, which holds the
-        op table."""
-        from .tagger import bind_rule
-        return bind_rule(self)
 
     def arg(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.args:
@@ -115,10 +100,17 @@ class ClauseTemplate:
     output: str
     pattern: str | None = None
 
-    @cached_property
-    def regex(self) -> re.Pattern:
-        """The compiled ``pattern``, which only an aux template has."""
-        return _compile(self.pattern, f"{self.kind} clause template")
+
+class CompiledPack(NamedTuple):
+    """A pack's patterns compiled and its rules bound: per rule in order its
+    (regex, normalization function, parsed ARG, name), per signal entry its
+    regex, each aux template pattern's regex, and the quantity+unit phrase
+    that may stand right before a signal ("four years")."""
+
+    rules: tuple
+    signals: tuple[re.Pattern, ...]
+    aux: dict[str, re.Pattern]
+    modifier: re.Pattern
 
 
 @dataclass(eq=True)
@@ -151,14 +143,24 @@ class LanguagePack:
     conjunctions: frozenset[str]
 
     @cached_property
-    def modifier_regex(self) -> re.Pattern:
-        """Quantity+unit phrase immediately before a signal ("four years"),
-        its number a whole word ("Russia years" holds none)."""
+    def compiled(self) -> CompiledPack:
+        """Every pattern compiled and every rule bound (by
+        ``tagger.bind_rule``, which holds the op table) on the pack's first
+        use, raising the first fault as PackInvalid whatever the use."""
+        from .tagger import bind_rule
+        rules = tuple(bind_rule(rule) for rule in self.te_rules)
+        signals = tuple(_bounded(entry.pattern, f"signal {entry.base!r}")
+                        for entry in self.signals)
+        aux = {t.pattern: _compile(t.pattern, "aux clause template")
+               for t in self.clause_templates if t.kind == "aux"}
+        # the number a whole word: "Russia years" holds none
         numbers = "|".join([r"\d+"] + sorted(self.number_words, key=len,
                                              reverse=True))
         units = "|".join(sorted(self.unit_words, key=len, reverse=True))
-        return _compile(rf"(?P<mod>(?<!\w)(?:{numbers})\s+(?:{units}))\s+$",
-                        "modifier phrase of the number and unit words")
+        modifier = _compile(
+            rf"(?P<mod>(?<!\w)(?:{numbers})\s+(?:{units}))\s+$",
+            "modifier phrase of the number and unit words")
+        return CompiledPack(rules, signals, aux, modifier)
 
     # -- verb lexicon ------------------------------------------------------
 
@@ -252,18 +254,6 @@ def validate_pack(pack: LanguagePack) -> LanguagePack:
     return pack
 
 
-def compile_patterns(pack: LanguagePack) -> None:
-    """Compile every pattern the pipeline reads and bind every rule's op,
-    raising PackInvalid for the first fault.  Loading leaves each to
-    happen on first use; this check is for ``tqa pack-validate``."""
-    aux = [t for t in pack.clause_templates if t.kind == "aux"]
-    for rule in pack.te_rules:
-        rule.binding  # compiles the rule's pattern too
-    for item in (*pack.signals, *aux):
-        item.regex
-    pack.modifier_regex
-
-
 # ---------------------------------------------------------------------------
 # XML serialization
 # ---------------------------------------------------------------------------
@@ -350,9 +340,7 @@ def serialize_pack(pack: LanguagePack) -> bytes:
     for key in sorted(pack.conjunctions):
         ET.SubElement(lexicon, "ENTRY", kind="conjunction", key=key)
 
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    return write_xml(root)
 
 
 def load_pack(source) -> LanguagePack:

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 from datetime import MAXYEAR, date, timedelta
 
 from .errors import MalformedValue, OutOfCalendar, PackInvalid
-from .packs import _UNITS, LanguagePack, TagRule
+from .packs import _UNITS, LanguagePack, TagRule, _bounded
 from .time_model import DayInterval, TimeValue
-
-#: Reference date anchoring deictic and relative expressions.
-ReferenceDate = date
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,7 @@ class TemporalExpressionTag:
         return self.value.interval
 
 
-def _pivot_year(two_digits: int, ref: ReferenceDate) -> int:
+def _pivot_year(two_digits: int, ref: date) -> int:
     """Two-digit year against the reference: at most the reference's own
     two-digit year means the current century, else the one before."""
     base = ref.year - ref.year % 100
@@ -45,7 +42,7 @@ def _pivot_year(two_digits: int, ref: ReferenceDate) -> int:
 
 
 def resolve_relative(quantity: int, unit: str, direction: str,
-                     ref: ReferenceDate) -> TimeValue:
+                     ref: date) -> TimeValue:
     """Offset the reference date and emit at the unit's natural granularity."""
     if quantity < 0:
         raise ValueError("quantity must be non-negative")
@@ -98,7 +95,7 @@ def _ordinal_number(text: str, pack: LanguagePack) -> int | None:
     return _parse_roman(text)
 
 
-def _year_from_text(text: str, pack: LanguagePack, ref: ReferenceDate) -> int | None:
+def _year_from_text(text: str, pack: LanguagePack, ref: date) -> int | None:
     if re.fullmatch(r"\d{4}", text):
         return int(text)
     if re.fullmatch(r"\d{1,2}", text):
@@ -221,29 +218,30 @@ _OPS = {
 
 
 def bind_rule(rule: TagRule):
-    """The rule's compiled pattern, normalization function and parsed ARG
-    (None for an op that reads none); PackInvalid when the op is unknown,
-    the pattern lacks a group the op requires or the ARG is outside its
-    domain.  Read through ``TagRule.binding``, once per rule."""
+    """The rule's compiled pattern, normalization function, parsed ARG
+    (None for an op that reads none) and name; PackInvalid when the
+    pattern does not compile or matches the empty string, the op is
+    unknown, the pattern lacks a group the op requires or the ARG is
+    outside its domain.  Read through ``LanguagePack.compiled``."""
     if rule.op not in _OPS:
         raise PackInvalid(f"rule {rule.name!r}: unknown op {rule.op!r}")
     op, groups, arg = _OPS[rule.op]
-    regex = rule.regex
+    regex = _bounded(rule.pattern, f"rule {rule.name!r}")
     missing = [g for g in groups if g not in regex.groupindex]
     if missing:
         raise PackInvalid(f"rule {rule.name!r}: op {rule.op!r} requires "
                           f"pattern group(s) {', '.join(missing)}")
     if arg is None:
-        return regex, op, None
+        return regex, op, None, rule.name
     key, default, read = arg
     try:
-        return regex, op, read(rule.arg(key, default))
+        return regex, op, read(rule.arg(key, default)), rule.name
     except (ValueError, MalformedValue) as exc:
         raise PackInvalid(f"rule {rule.name!r}: ARG {key}: {exc}") from None
 
 
 def tag(question: str, pack: LanguagePack,
-        ref: ReferenceDate) -> list[TemporalExpressionTag]:
+        ref: date) -> list[TemporalExpressionTag]:
     """All maximal non-overlapping temporal expressions, sorted by offset.
 
     Longest match wins at a shared start offset; at identical spans the
@@ -251,8 +249,7 @@ def tag(question: str, pack: LanguagePack,
     yields no tag.
     """
     candidates = []
-    for index, rule in enumerate(pack.te_rules):
-        regex, op, arg = rule.binding
+    for index, (regex, op, arg, name) in enumerate(pack.compiled.rules):
         for m in regex.finditer(question):
             try:
                 value = op(m, arg, pack, ref)
@@ -260,7 +257,7 @@ def tag(question: str, pack: LanguagePack,
                 continue  # outside years 1-9999 or the value grammar
             if value is not None:
                 candidates.append((m.start(), -(m.end() - m.start()), index,
-                                   m.end(), value, rule.name))
+                                   m.end(), value, name))
     candidates.sort(key=lambda c: c[:3])
     tags, cursor = [], 0
     for start, _neg_len, _index, end, value, rule_name in candidates:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -287,6 +288,30 @@ def test_empty_pattern_is_invalid(capsys, tmp_path, command, question):
     assert "this-year" in err and "empty string" in err
 
 
+_TYPE2 = "Where were the Olympics held 16 years ago?"
+_TYPE4 = "Where did Bill Clinton study before going to Oxford University?"
+
+
+@pytest.mark.parametrize("old,new,name", [
+    (b'relation="AFTER">after</SIGNAL>', b'relation="AFTER">after (</SIGNAL>',
+     "signal 'after'"),
+    (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;(was", "aux clause template"),
+    (b'key="two" value="2"', b'key="two (" value="2"', "modifier phrase"),
+], ids=["signal", "aux-template", "number-word"])
+def test_broken_pack_fails_every_command_alike(capsys, tmp_path, old, new,
+                                               name):
+    # the first use of a pack compiles all of it, whatever the question
+    pack_dir = _edited_pack(tmp_path, old, new)
+    errors = set()
+    for argv in (("tag", "Who won in 1990?"), ("answer", _TYPE2),
+                 ("answer", _TYPE4), ("pack-validate",)):
+        code, out, err = run(capsys, *argv, "--pack", pack_dir)
+        assert_one_error_line(code, out, err)
+        errors.add(err)
+    (err,) = errors
+    assert name in err and "does not compile" in err
+
+
 def test_empty_signal_is_invalid(capsys, tmp_path):
     pack_dir = _edited_pack(tmp_path, b'relation="AFTER">after</SIGNAL>',
                             b'relation="AFTER"></SIGNAL>')
@@ -410,3 +435,92 @@ def test_blank_question_is_a_usage_error(capsys, command, question):
     code, out, err = run(capsys, command, question)
     assert_one_error_line(code, out, err)
     assert err == "error: question is empty\n"  # no traceback
+
+
+#: A one-question testbed for the testbed boundary cases below.
+_TESTBED = (b'<TESTBED lang="en" ref="2008-01-01"><Q id="1">'
+            b"<QUESTION>Who won in 1990?</QUESTION>"
+            b'<TE value="1990">1990</TE><TYPE>2</TYPE></Q></TESTBED>')
+
+#: Input files broken at one boundary: (id, file, pattern, replacement,
+#: the fault the error names).  The pattern is replaced once in the
+#: one-question testbed, the shipped English pack or the shipped English
+#: fixtures.
+_BROKEN_INPUTS = [
+    ("bad-q-id", "testbed", rb'id="1"', b'id="one"', "bad Q id 'one'"),
+    ("no-question", "testbed", rb"<QUESTION>.*</QUESTION>", b"",
+     "Q1: missing QUESTION"),
+    ("no-type", "testbed", rb"<TYPE>2</TYPE>", b"", "Q1: missing TYPE"),
+    ("bad-type", "testbed", rb"<TYPE>2", b"<TYPE>two",
+     "Q1: bad TYPE 'two'"),
+    ("empty-signal", "testbed", rb"</TYPE>", b"</TYPE><SIGNAL> </SIGNAL>",
+     "Q1: empty SIGNAL element"),
+    ("empty-te", "testbed", rb">1990</TE>", b"></TE>", "Q1: empty TE element"),
+    ("bad-ref", "testbed", rb'ref="2008-01-01"', b'ref="2008-13-01"',
+     "bad testbed reference date '2008-13-01'"),
+    ("type1-signal", "testbed", rb"<TE .*</TYPE>",
+     b"<TYPE>1</TYPE><SIGNAL>when</SIGNAL>",
+     "Q1: type 1 takes no signal or split"),
+    ("type1-te", "testbed", rb"<TYPE>2", b"<TYPE>1", "Q1: type 1 takes no TE"),
+    ("empty-code", "pack", rb'code="en"', b'code=""', "pack code is empty"),
+    ("no-rule", "pack", rb"<TERULES>.*</TERULES>", b"<TERULES />",
+     "no temporal expression rules"),
+    ("unknown-template", "pack", rb'kind="fallback"', b'kind="other"',
+     "unknown clause template kind 'other'"),
+    ("empty-stopwords", "pack", rb"<STOPWORDS>.*</STOPWORDS>",
+     b"<STOPWORDS />", "stopword list is empty"),
+    ("root-not-pack", "pack", rb"<PACK (.*)</PACK>",
+     rb"<LANGPACK \1</LANGPACK>", "root element is 'LANGPACK', expected PACK"),
+    ("no-verbs", "pack", rb"<VERBS>.*</VERBS>", b"", "pack has no VERBS"),
+    ("unknown-lexicon", "pack", rb'kind="conjunction"', b'kind="conj"',
+     "unknown lexicon kind 'conj'"),
+    ("fq-without-key", "fixtures", rb'<FQ key="[^"]*"', b"<FQ",
+     "fixture entry without key"),
+    ("bad-rank", "fixtures", rb'rank="1"', b'rank="x"', "bad rank 'x'"),
+]
+
+#: Per file: its name, its unbroken text and the command that reads it.
+_INPUT_FILES = {
+    "testbed": ("tb.xml", _TESTBED, lambda path: ["eval", "--testbed", str(path)]),
+    "pack": ("en.xml", (DATA_DIR / "en.xml").read_bytes(),
+             lambda path: ["pack-validate", "--pack", str(path.parent)]),
+    "fixtures": ("fx.xml", (DATA_DIR / "fixtures_en.xml").read_bytes(),
+                 lambda path: ["answer", "--fixtures", str(path), _TYPE4]),
+}
+
+
+@pytest.mark.parametrize("kind,old,new,fault",
+                         [case[1:] for case in _BROKEN_INPUTS],
+                         ids=[case[0] for case in _BROKEN_INPUTS])
+def test_broken_input_is_one_error_line(capsys, tmp_path, kind, old, new,
+                                        fault):
+    name, doc, argv = _INPUT_FILES[kind]
+    doc, edits = re.subn(old, new, doc, count=1, flags=re.DOTALL)
+    assert edits == 1
+    path = tmp_path / name
+    path.write_bytes(doc)
+    code, out, err = run(capsys, *argv(path))
+    assert_one_error_line(code, out, err)
+    assert fault in err
+
+
+def test_eval_on_a_testbed_with_no_question(capsys, tmp_path):
+    path = tmp_path / "tb.xml"
+    path.write_bytes(b'<TESTBED lang="en" ref="2008-01-01" />')
+    assert run(capsys, "eval", "--testbed", str(path)) == (
+        1, "", "error: empty testbed\n")
+
+
+@pytest.mark.parametrize("argv,fault", [
+    (["eval", "--lang", "es", "--testbed", str(DATA_DIR / "testbed_en.xml")],
+     "testbed language 'en' does not match pack 'es'"),
+    (["eval", "--lang", "es", "--fixtures", str(DATA_DIR / "fixtures_en.xml")],
+     "fixture language 'en' does not match pack 'es'"),
+    (["answer", "--lang", "es", "--fixtures",
+      str(DATA_DIR / "fixtures_en.xml"), _TYPE4],
+     "fixture language 'en' does not match pack 'es'"),
+], ids=["eval-testbed", "eval-fixtures", "answer-fixtures"])
+def test_file_in_another_language_than_the_pack(capsys, argv, fault):
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert fault in err

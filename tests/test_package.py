@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "Aspect", "AspectJudgment", "BackendQuery", "ComplexAnswer", "Counts",
     "DatedAnswer", "DayInterval", "DecomposedQuestion", "Diagnostic",
     "EvalReport", "FixtureStore", "GoldQuestion", "LanguagePack",
-    "MetricsRow", "QABackend", "ReferenceDate", "Relation", "SignalMatch",
+    "MetricsRow", "QABackend", "Relation", "SignalMatch",
     "TemporalExpressionTag", "Testbed", "TimeValue", "Verdict",
     "answer_complex_question", "answer_decomposed", "backend", "corpus",
     "decompose", "decomposition", "detect_signal", "errors", "evaluation",
@@ -48,7 +48,7 @@ def fresh_python(code: str) -> str:
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
     assert sorted(tqa.__all__) == PUBLIC_NAMES
 
 

@@ -9,12 +9,12 @@ import re
 import pytest
 
 from tqa.decomposition import decompose
+from tqa.tagger import tag
 from tqa.errors import PackInvalid
 from tqa.packs import (
     CORE_SIGNAL_BASES,
     DATA_DIR,
     SignalEntry,
-    compile_patterns,
     get_pack,
     load_pack,
     serialize_pack,
@@ -58,6 +58,24 @@ def test_shipped_packs_are_canonical(code):
         (DATA_DIR / f"{code}.xml").read_bytes()
 
 
+@pytest.mark.parametrize("code", ["en", "es"])
+def test_loading_compiles_nothing_and_first_tag_compiles_all(monkeypatch,
+                                                             code):
+    patterns = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile",
+                        lambda *args: patterns.append(args[0])
+                        or compile_(*args))
+    pack = get_pack(code)
+    assert patterns == [] and "compiled" not in vars(pack)
+    aux = [t for t in pack.clause_templates if t.kind == "aux"]
+    every = len(pack.te_rules) + len(pack.signals) + len(aux) + 1  # modifier
+    tag("in 1990?", pack, REF)
+    assert "compiled" in vars(pack) and len(patterns) == every
+    decompose("Who won after the war in 1990?", pack, REF)
+    assert len(patterns) == every
+
+
 def test_replaced_pack_compiles_its_own_modifier_regex(en_pack):
     question = ("Who won the Nobel Peace Prize two years after the Berlin "
                 "Wall fell?")
@@ -90,7 +108,7 @@ def test_pattern_that_does_not_compile_is_invalid(en_pack, old, new, named):
     assert doc.count(old) == 1
     pack = load_pack(doc.replace(old, new))  # loading compiles no pattern
     with pytest.raises(PackInvalid, match=re.escape(named)):
-        compile_patterns(pack)
+        pack.compiled
 
 
 @pytest.mark.parametrize("old, new, named", [
@@ -107,7 +125,7 @@ def test_pattern_that_matches_the_empty_string_is_invalid(en_pack, old, new,
     assert doc.count(old) == 1
     pack = load_pack(doc.replace(old, new))
     with pytest.raises(PackInvalid, match=re.escape(named) + ".*empty string"):
-        compile_patterns(pack)
+        pack.compiled
 
 
 def test_signal_that_links_no_event_is_invalid(en_pack):
