@@ -89,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "xml"), default="text")
 
     p = commands.add_parser("pack-validate", help="validate a language pack")
-    p.add_argument("--lang", default="en")
-    p.add_argument("--pack", metavar="DIR")
+    _add_common(p, ref=False)
     return parser
 
 

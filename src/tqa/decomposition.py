@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import date
 
 from .errors import Diagnostic, UnsplittableQuestion
-from .packs import ClauseTemplate, LanguagePack
+from .packs import OUTPUT_PIECE, ClauseTemplate, LanguagePack
 from .tagger import TemporalExpressionTag, tag
 from .time_model import Relation
 
@@ -118,7 +118,7 @@ def _render(template: ClauseTemplate, groups: dict[str, str],
             return pack.rewrite_verb(value)
         return value
 
-    return _squeeze(re.sub(r"\{(\w+)(?::(\w+))?\}", replace, template.output))
+    return _squeeze(OUTPUT_PIECE.sub(replace, template.output))
 
 
 def _focus_subject(focus: str, pack: LanguagePack) -> str | None:

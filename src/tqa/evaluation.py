@@ -9,6 +9,7 @@ Aggregated counts produce precision, recall, F and mean reciprocal rank.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
@@ -235,15 +236,15 @@ def gold_tags(gold: GoldQuestion, question: str) -> list[TemporalExpressionTag]:
     """Materialize gold TE annotations as tagger output for injection."""
     tags, cursor = [], 0
     for surface, value in gold.tes:
-        begin = question.find(surface, cursor)
-        if begin < 0:
-            begin = question.casefold().find(surface.casefold(), cursor)
-        if begin < 0:
+        # searched in the question itself, not in its casefold, whose
+        # length may differ ("ß" -> "ss")
+        m = re.compile(re.escape(surface), re.IGNORECASE).search(question,
+                                                                 cursor)
+        if m is None:
             continue
         tags.append(TemporalExpressionTag(
-            surface=question[begin:begin + len(surface)], begin=begin,
-            end=begin + len(surface), value=value))
-        cursor = begin + len(surface)
+            surface=m.group(), begin=m.start(), end=m.end(), value=value))
+        cursor = m.end()
     return tags
 
 

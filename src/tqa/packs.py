@@ -32,20 +32,42 @@ CORE_SIGNAL_BASES = frozenset({
     "since",
 })
 
-#: Clause template kinds understood by the question splitter.
-TEMPLATE_KINDS = ("gerund", "clitic", "verb_first", "aux", "tensed", "fallback")
+#: Clause template kinds understood by the question splitter, each with the
+#: pieces it gives its OUTPUT besides ``clause`` (an ``aux`` template gives
+#: its PATTERN's named groups).
+TEMPLATE_KINDS = {
+    "gerund": ("subject", "verb", "rest"),
+    "clitic": ("clitic", "verb", "rest"),
+    "verb_first": ("verb", "rest"),
+    "aux": (),
+    "tensed": ("subj", "verb", "rest"),
+    "fallback": (),
+}
+
+#: A piece of a clause template OUTPUT: ``{name}`` or ``{name:transform}``.
+OUTPUT_PIECE = re.compile(r"\{(\w+)(?::(\w+))?\}")
 
 #: Canonical units a ``unit`` lexicon entry may name.
 _UNITS = ("day", "month", "year", "decade", "century")
 
-#: Integer lexicon kinds: (test of a value, the domain it checks).
-_LEXICON_DOMAINS = {
-    "month": (lambda n: 1 <= n <= 12, "a month number 1-12"),
-    "number": (lambda n: n >= 0, "a non-negative integer"),
-    "ordinal": (lambda n: n >= 0, "a non-negative integer"),
-    "decade": (lambda n: n >= 0 and n % 10 == 0,
+#: LEXICON kinds in file order: (value reader, test of the read value, the
+#: domain it checks).  A conjunction carries no value.
+_LEXICON = {
+    "month": (int, lambda n: 1 <= n <= 12, "a month number 1-12"),
+    "number": (int, lambda n: n >= 0, "a non-negative integer"),
+    "ordinal": (int, lambda n: n >= 0, "a non-negative integer"),
+    "decade": (int, lambda n: n >= 0 and n % 10 == 0,
                "a non-negative multiple of 10"),
+    "unit": (str, _UNITS.__contains__, f"one of {', '.join(_UNITS)}"),
+    "conjunction": (lambda value: None, lambda value: True, ""),
 }
+
+#: A LEXICON key: words joined by hyphens, safe to splice into a pattern.
+_KEY = re.compile(r"\w+(?:-\w+)*")
+
+#: ``{kind}`` in a pattern: the alternation of that LEXICON kind's words.
+#: The name starts with a letter, so ``\d{1,4}`` is no placeholder.
+_PLACEHOLDER = re.compile(r"\{([A-Za-z]\w*)\}")
 
 
 def _compile(pattern: str, what: str) -> re.Pattern:
@@ -55,6 +77,19 @@ def _compile(pattern: str, what: str) -> re.Pattern:
         return re.compile(pattern, re.IGNORECASE | re.UNICODE)
     except re.error as exc:
         raise PackInvalid(f"{what}: pattern does not compile: {exc}") from None
+
+
+def _check_output(output: str, pieces: tuple[str, ...], what: str) -> None:
+    """Each ``{piece}`` of a clause template OUTPUT must be one of the
+    template's ``pieces``, and its transform, if any, ``rw``."""
+    for m in OUTPUT_PIECE.finditer(output):
+        name, transform = m.groups()
+        if name not in pieces:
+            raise PackInvalid(f"{what}: OUTPUT {m.group()} names no piece of "
+                              f"the template (one of {', '.join(pieces)})")
+        if transform not in (None, "rw"):
+            raise PackInvalid(f"{what}: OUTPUT {m.group()} has transform "
+                              f"{transform!r}, not rw")
 
 
 def _bounded(pattern: str, what: str) -> re.Pattern:
@@ -135,32 +170,51 @@ class LanguagePack:
     equivalences: tuple[tuple[str, str], ...]
     determiners: frozenset[str]
     trim_words: frozenset[str]
-    months: dict[str, int]
-    number_words: dict[str, int]
-    ordinal_words: dict[str, int]
-    decade_words: dict[str, int]
-    unit_words: dict[str, str]
-    conjunctions: frozenset[str]
+    #: LEXICON kind -> its words, each with its value (None for a
+    #: conjunction).
+    lexicon: dict[str, dict]
+
+    def expand(self, pattern: str, what: str = "pattern") -> str:
+        """The pattern with each ``{kind}`` replaced by the alternation of
+        that LEXICON kind's words, longest first; a name that is no kind,
+        or a kind with no words, raises PackInvalid naming ``what``."""
+        def words(m):
+            table = self.lexicon.get(m.group(1))
+            if not table:
+                raise PackInvalid(f"{what}: {m.group()} names no lexicon kind "
+                                  "with entries")
+            return f"(?:{'|'.join(sorted(table, key=lambda w: (-len(w), w)))})"
+
+        return _PLACEHOLDER.sub(words, pattern)
 
     @cached_property
     def compiled(self) -> CompiledPack:
-        """Every pattern compiled and every rule bound (by
-        ``tagger.bind_rule``, which holds the op table) on the pack's first
-        use, raising the first fault as PackInvalid whatever the use."""
+        """Every pattern expanded and compiled, every rule bound (by
+        ``tagger.bind_rule``, which holds the op table) and every clause
+        template OUTPUT checked on the pack's first use, raising the first
+        fault as PackInvalid whatever the use."""
         from .tagger import bind_rule
-        rules = tuple(bind_rule(rule) for rule in self.te_rules)
-        signals = tuple(_bounded(entry.pattern, f"signal {entry.base!r}")
-                        for entry in self.signals)
-        aux = {t.pattern: _compile(t.pattern, "aux clause template")
-               for t in self.clause_templates if t.kind == "aux"}
+        rules = tuple(bind_rule(rule, self.expand(rule.pattern,
+                                                  f"rule {rule.name!r}"))
+                      for rule in self.te_rules)
+        signals = []
+        for entry in self.signals:
+            what = f"signal {entry.base!r}"
+            signals.append(_bounded(self.expand(entry.pattern, what), what))
+        aux = {}
+        for template in self.clause_templates:
+            what = f"{template.kind} clause template"
+            pieces = TEMPLATE_KINDS[template.kind]
+            if template.kind == "aux":
+                regex = _compile(self.expand(template.pattern, what), what)
+                aux[template.pattern] = regex
+                pieces = tuple(regex.groupindex)
+            _check_output(template.output, ("clause",) + pieces, what)
         # the number a whole word: "Russia years" holds none
-        numbers = "|".join([r"\d+"] + sorted(self.number_words, key=len,
-                                             reverse=True))
-        units = "|".join(sorted(self.unit_words, key=len, reverse=True))
-        modifier = _compile(
-            rf"(?P<mod>(?<!\w)(?:{numbers})\s+(?:{units}))\s+$",
-            "modifier phrase of the number and unit words")
-        return CompiledPack(rules, signals, aux, modifier)
+        what = "modifier phrase of the number and unit words"
+        modifier = _compile(self.expand(
+            r"(?P<mod>(?<!\w)(?:\d+|{number})\s+{unit})\s+$", what), what)
+        return CompiledPack(rules, tuple(signals), aux, modifier)
 
     # -- verb lexicon ------------------------------------------------------
 
@@ -211,13 +265,13 @@ class LanguagePack:
         text = text.strip()
         if re.fullmatch(r"\d+", text):
             return int(text)
-        values = []
+        numbers, values = self.lexicon["number"], []
         for token in re.split(r"[\s-]+", text.casefold()):
-            if not token or token in self.conjunctions:
+            if not token or token in self.lexicon["conjunction"]:
                 continue
-            if token not in self.number_words:
+            if token not in numbers:
                 return None
-            values.append(self.number_words[token])
+            values.append(numbers[token])
         if not values:
             return None
         if len(values) >= 2 and 10 <= values[0] <= 99 \
@@ -278,10 +332,7 @@ def _words(parent, tag, words):
 
 
 def _read_words(root, tag):
-    el = root.find(tag)
-    if el is None or not (el.text or "").strip():
-        return ()
-    return tuple((el.text or "").split())
+    return tuple(root.findtext(tag, "").split())
 
 
 def serialize_pack(pack: LanguagePack) -> bytes:
@@ -329,16 +380,11 @@ def serialize_pack(pack: LanguagePack) -> bytes:
     _words(root, "TRIM", sorted(pack.trim_words))
 
     lexicon = ET.SubElement(root, "LEXICON")
-    for kind, table in (("month", pack.months), ("number", pack.number_words),
-                        ("ordinal", pack.ordinal_words),
-                        ("decade", pack.decade_words)):
-        for key, value in sorted(table.items()):
-            ET.SubElement(lexicon, "ENTRY", kind=kind, key=key,
-                          value=str(value))
-    for key, value in sorted(pack.unit_words.items()):
-        ET.SubElement(lexicon, "ENTRY", kind="unit", key=key, value=value)
-    for key in sorted(pack.conjunctions):
-        ET.SubElement(lexicon, "ENTRY", kind="conjunction", key=key)
+    for kind in _LEXICON:
+        for key, value in sorted(pack.lexicon[kind].items()):
+            el = ET.SubElement(lexicon, "ENTRY", kind=kind, key=key)
+            if value is not None:
+                el.set("value", str(value))
 
     return write_xml(root)
 
@@ -365,13 +411,10 @@ def load_pack(source) -> LanguagePack:
 
     te_rules = []
     for el in root.findall("TERULES/RULE"):
-        pattern_el = el.find("PATTERN")
         args = tuple((arg.get("key", ""), arg.text or "")
                      for arg in el.findall("ARG"))
-        te_rules.append(TagRule(
-            name=el.get("name", ""), op=el.get("op", ""),
-            pattern=(pattern_el.text or "") if pattern_el is not None else "",
-            args=args))
+        te_rules.append(TagRule(name=el.get("name", ""), op=el.get("op", ""),
+                                pattern=el.findtext("PATTERN", ""), args=args))
 
     verbs = root.find("VERBS")
     if verbs is None:
@@ -383,40 +426,29 @@ def load_pack(source) -> LanguagePack:
                                 f"suffix {el.get('from', '')!r}"))
                          for el in verbs.findall("SUFFIX"))
 
-    templates = []
-    for el in root.findall("CLAUSES/TEMPLATE"):
-        pattern_el = el.find("PATTERN")
-        output_el = el.find("OUTPUT")
-        templates.append(ClauseTemplate(
-            kind=el.get("kind", ""),
-            output=(output_el.text or "") if output_el is not None else "",
-            pattern=(pattern_el.text or "") if pattern_el is not None else None))
+    templates = [ClauseTemplate(kind=el.get("kind", ""),
+                                output=el.findtext("OUTPUT", ""),
+                                pattern=el.findtext("PATTERN"))
+                 for el in root.findall("CLAUSES/TEMPLATE")]
 
-    months, numbers, ordinals, decades, units = {}, {}, {}, {}, {}
-    conjunctions = set()
-    tables = {"month": months, "number": numbers, "ordinal": ordinals,
-              "decade": decades}
+    lexicon = {kind: {} for kind in _LEXICON}
     for el in root.findall("LEXICON/ENTRY"):
         kind, key, value = el.get("kind"), el.get("key", ""), el.get("value", "")
-        if kind == "unit":
-            if value not in _UNITS:
-                raise PackInvalid(f"unit {key!r}: value {value!r} is not one "
-                                  f"of {', '.join(_UNITS)}")
-            units[key] = value
-        elif kind == "conjunction":
-            conjunctions.add(key)
-        elif kind in tables:
-            in_domain, domain = _LEXICON_DOMAINS[kind]
-            try:
-                number = int(value)
-            except ValueError:
-                number = None
-            if number is None or not in_domain(number):
-                raise PackInvalid(f"{kind} {key!r}: value {value!r} is not "
-                                  f"{domain}")
-            tables[kind][key] = number
-        else:
+        if kind not in _LEXICON:
             raise PackInvalid(f"unknown lexicon kind {kind!r}")
+        if not _KEY.fullmatch(key):
+            raise PackInvalid(f"{kind} {key!r}: key is not a word or "
+                              "hyphenated words")
+        read, in_domain, domain = _LEXICON[kind]
+        try:
+            entry = read(value)
+            valid = in_domain(entry)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise PackInvalid(f"{kind} {key!r}: value {value!r} is not "
+                              f"{domain}")
+        lexicon[kind][key] = entry
 
     pack = LanguagePack(
         code=root.get("code", ""),
@@ -438,12 +470,7 @@ def load_pack(source) -> LanguagePack:
                            for el in root.findall("EQUIV")),
         determiners=frozenset(_read_words(root, "DETERMINERS")),
         trim_words=frozenset(_read_words(root, "TRIM")),
-        months=months,
-        number_words=numbers,
-        ordinal_words=ordinals,
-        decade_words=decades,
-        unit_words=units,
-        conjunctions=frozenset(conjunctions),
+        lexicon=lexicon,
     )
     return validate_pack(pack)
 

@@ -89,10 +89,8 @@ def _parse_roman(text: str) -> int | None:
 def _ordinal_number(text: str, pack: LanguagePack) -> int | None:
     if re.fullmatch(r"\d{1,2}", text):
         return int(text)
-    key = text.casefold()
-    if key in pack.ordinal_words:
-        return pack.ordinal_words[key]
-    return _parse_roman(text)
+    number = pack.lexicon["ordinal"].get(text.casefold())
+    return _parse_roman(text) if number is None else number
 
 
 def _year_from_text(text: str, pack: LanguagePack, ref: date) -> int | None:
@@ -128,7 +126,7 @@ def _op_decade(m, arg, pack, ref):
         else:
             first = _pivot_year(int(text), ref)
     else:
-        first = pack.decade_words.get(text)
+        first = pack.lexicon["decade"].get(text)
     if first is None or first % 10 != 0:
         return None
     # a decade with no value (years 0-9) has no halves either
@@ -150,7 +148,7 @@ def _op_century(m, arg, pack, ref):
 
 
 def _op_month_number(m, arg, pack, ref):
-    month = pack.months.get(m.group("m").casefold())
+    month = pack.lexicon["month"].get(m.group("m").casefold())
     n = pack.parse_number(m.group("n"))
     if month is None or n is None:
         return None
@@ -170,7 +168,7 @@ def _op_month_number(m, arg, pack, ref):
 
 def _op_relative(m, direction, pack, ref):
     quantity = pack.parse_number(m.group("n"))
-    unit = pack.unit_words.get(m.group("u").casefold())
+    unit = pack.lexicon["unit"].get(m.group("u").casefold())
     if quantity is None or unit is None:
         return None
     return resolve_relative(quantity, unit, direction, ref)
@@ -217,16 +215,17 @@ _OPS = {
 }
 
 
-def bind_rule(rule: TagRule):
-    """The rule's compiled pattern, normalization function, parsed ARG
-    (None for an op that reads none) and name; PackInvalid when the
-    pattern does not compile or matches the empty string, the op is
-    unknown, the pattern lacks a group the op requires or the ARG is
-    outside its domain.  Read through ``LanguagePack.compiled``."""
+def bind_rule(rule: TagRule, pattern: str):
+    """The rule's compiled ``pattern`` (its own, expanded), normalization
+    function, parsed ARG (None for an op that reads none) and name;
+    PackInvalid when the pattern does not compile or matches the empty
+    string, the op is unknown, the pattern lacks a group the op requires
+    or the ARG is outside its domain.  Read through
+    ``LanguagePack.compiled``."""
     if rule.op not in _OPS:
         raise PackInvalid(f"rule {rule.name!r}: unknown op {rule.op!r}")
     op, groups, arg = _OPS[rule.op]
-    regex = _bounded(rule.pattern, f"rule {rule.name!r}")
+    regex = _bounded(pattern, f"rule {rule.name!r}")
     missing = [g for g in groups if g not in regex.groupindex]
     if missing:
         raise PackInvalid(f"rule {rule.name!r}: op {rule.op!r} requires "

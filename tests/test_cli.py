@@ -296,8 +296,7 @@ _TYPE4 = "Where did Bill Clinton study before going to Oxford University?"
     (b'relation="AFTER">after</SIGNAL>', b'relation="AFTER">after (</SIGNAL>',
      "signal 'after'"),
     (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;(was", "aux clause template"),
-    (b'key="two" value="2"', b'key="two (" value="2"', "modifier phrase"),
-], ids=["signal", "aux-template", "number-word"])
+], ids=["signal", "aux-template"])
 def test_broken_pack_fails_every_command_alike(capsys, tmp_path, old, new,
                                                name):
     # the first use of a pack compiles all of it, whatever the question
@@ -310,6 +309,29 @@ def test_broken_pack_fails_every_command_alike(capsys, tmp_path, old, new,
         errors.add(err)
     (err,) = errors
     assert name in err and "does not compile" in err
+
+
+@pytest.mark.parametrize("lang,old,new,named", [
+    ("en", b"When did {subj} {verb:rw} {rest}?",
+     b"When did {subj} {verb:lemma} {rest}?",
+     "tensed clause template: OUTPUT {verb:lemma} has transform 'lemma'"),
+    ("en", b"When did {subj} {verb:rw} {rest}?",
+     b"When did {subject} {verb:rw} {rest}?",
+     "tensed clause template: OUTPUT {subject} names no piece"),
+    ("en", b"When {aux} {subj} {rest}?", b"When {aux} {part} {subj} {rest}?",
+     "aux clause template: OUTPUT {part} names no piece"),
+    ("es", "¿Cuándo {verb:rw} {rest}?".encode(),
+     "¿Cuándo {verbo:rw} {rest}?".encode(),
+     "verb_first clause template: OUTPUT {verbo:rw} names no piece"),
+], ids=["transform", "tensed-piece", "aux-group", "verb-first-piece"])
+def test_clause_template_output_is_checked(capsys, tmp_path, lang, old, new,
+                                           named):
+    # else "When did the Berlin Wall fell?" or a dropped piece, silently
+    pack_dir = _edited_pack(tmp_path, old, new, lang)
+    for argv in (("pack-validate",), ("decompose", _TYPE4)):
+        code, out, err = run(capsys, *argv, "--lang", lang, "--pack", pack_dir)
+        assert_one_error_line(code, out, err)
+        assert named in err
 
 
 def test_empty_signal_is_invalid(capsys, tmp_path):
@@ -350,6 +372,9 @@ _OUT_OF_DOMAIN = [
     ("ordinal-negative", "en", b'key="fifth" value="5"',
      b'key="fifth" value="-5"', "Who reigned in the fifth century?",
      "ordinal 'fifth'"),
+    # a key is pattern text once a {kind} names its table
+    ("key-not-word", "en", b'key="two" value="2"', b'key="two (" value="2"',
+     "Who won two years ago?", "number 'two ('"),
 ]
 
 

@@ -252,6 +252,16 @@ def test_wrong_te_value_judged_incorrect(en_pack):
     assert judged[Aspect.TE].acted and not judged[Aspect.TE].correct
 
 
+def test_gold_tag_span_is_found_in_the_question_itself():
+    # casefolding "Straße" lengthens it, which would shift every offset
+    question = "Who built the Straße in The Eighties?"
+    gold = GoldQuestion(id=1, qtype=2, question=question,
+                        tes=(("the eighties", TimeValue("198")),))
+    (tag,) = gold_tags(gold, question)
+    assert (tag.surface, tag.begin, tag.end) == ("The Eighties", 24, 36)
+    assert question[tag.begin:tag.end] == tag.surface
+
+
 def test_judgment_correct_implies_acted():
     with pytest.raises(ValueError):
         AspectJudgment(Aspect.TE, True, False, True)

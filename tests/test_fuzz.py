@@ -34,11 +34,13 @@ def pack_words(pack) -> list[str]:
     decade and unit words and the ``MARKERS``), the vocabulary the tagger
     and splitter key on."""
     signal_words = {word for entry in pack.signals
-                    for word in re.findall(r"[^\W\d_]{2,}", entry.pattern)}
+                    for word in re.findall(r"[^\W\d_]{2,}",
+                                           pack.expand(entry.pattern))}
+    lexicon_words = {word for kind in ("number", "month", "ordinal",
+                                       "decade", "unit")
+                     for word in pack.lexicon[kind]}
     return sorted(signal_words | set(MARKERS[pack.code]) | set(pack.wh_words)
-                  | set(pack.number_words) | set(pack.months)
-                  | set(pack.ordinal_words) | set(pack.decade_words)
-                  | set(pack.unit_words))
+                  | lexicon_words)
 
 
 PACKS = {lang: get_pack(lang) for lang in LANGS}
@@ -91,15 +93,25 @@ def test_pipeline_raises_only_on_blank_and_is_deterministic(lq, ref):
 def rule_texts(pack):
     """For each rule of the pack, questions holding a text the rule's
     pattern matches, so that its op runs."""
-    return {rule.name: st.from_regex(re.compile(rule.pattern, re.IGNORECASE),
+    return {rule.name: st.from_regex(re.compile(pack.expand(rule.pattern),
+                                                re.IGNORECASE),
                                      fullmatch=True).map(
                 lambda text: f"{pack.wh_words[0]} won {text}?")
             for rule in pack.te_rules}
 
 
 RULE_TEXTS = {lang: rule_texts(PACKS[lang]) for lang in LANGS}
-RULE_WORDS = {lang: {rule.name: set(re.findall(r"[^\W\d_]+", rule.pattern))
-                     for rule in PACKS[lang].te_rules} for lang in LANGS}
+RULE_WORDS = {lang: {rule.name: set(re.findall(
+    r"[^\W\d_]+", PACKS[lang].expand(rule.pattern)))
+    for rule in PACKS[lang].te_rules} for lang in LANGS}
+
+
+def test_rule_words_reach_the_lexicon_words_of_a_placeholder():
+    # the mutation test finds the rules a mutated kind's words reach
+    assert {"two", "years"} <= RULE_WORDS["en"]["relative-ago"]
+    assert {"dos", "años"} <= RULE_WORDS["es"]["hace-relative"]
+
+
 _INTEGERS = st.one_of(st.integers(-20, 20), st.integers(-10**6, 10**6))
 _NON_WORDS = st.sampled_from(("", "week", "cinco", "pasado", "-0", "1e3",
                               "٣", " 5 "))

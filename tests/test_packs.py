@@ -5,15 +5,19 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+from pathlib import Path
+from xml.etree import ElementTree as ET
 
 import pytest
 
 from tqa.decomposition import decompose
-from tqa.tagger import tag
+from tqa.tagger import _OPS, tag
 from tqa.errors import PackInvalid
 from tqa.packs import (
+    _LEXICON,
     CORE_SIGNAL_BASES,
     DATA_DIR,
+    TEMPLATE_KINDS,
     SignalEntry,
     get_pack,
     load_pack,
@@ -58,6 +62,17 @@ def test_shipped_packs_are_canonical(code):
         (DATA_DIR / f"{code}.xml").read_bytes()
 
 
+def test_pack_format_doc_names_what_a_pack_holds():
+    # a third language is written from the doc alone
+    doc = (Path(__file__).parents[1] / "docs" / "pack-format.md").read_text(
+        encoding="utf-8")
+    names = set(_LEXICON) | set(_OPS) | set(TEMPLATE_KINDS)
+    for code in ("en", "es"):
+        for el in ET.fromstring(serialize_pack(get_pack(code))).iter():
+            names |= {el.tag, *el.attrib}
+    assert sorted(name for name in names if f"`{name}`" not in doc) == []
+
+
 @pytest.mark.parametrize("code", ["en", "es"])
 def test_loading_compiles_nothing_and_first_tag_compiles_all(monkeypatch,
                                                              code):
@@ -80,8 +95,10 @@ def test_replaced_pack_compiles_its_own_modifier_regex(en_pack):
     question = ("Who won the Nobel Peace Prize two years after the Berlin "
                 "Wall fell?")
     assert decompose(question, en_pack, REF).signal.modifier == "two years"
-    numbers = {k: v for k, v in en_pack.number_words.items() if k != "two"}
-    edited = dataclasses.replace(en_pack, number_words=numbers)
+    lexicon = dict(en_pack.lexicon)
+    lexicon["number"] = {k: v for k, v in lexicon["number"].items()
+                         if k != "two"}
+    edited = dataclasses.replace(en_pack, lexicon=lexicon)
     fresh = load_pack(serialize_pack(edited))
     assert decompose(question, fresh, REF).signal.modifier is None
     assert decompose(question, edited, REF).signal.modifier is None
@@ -101,7 +118,6 @@ def test_non_integer_lexicon_value_is_invalid(en_pack):
     (b'relation="AFTER">after</SIGNAL>', b'relation="AFTER">after (</SIGNAL>',
      "signal 'after'"),
     (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;(was", "aux clause template"),
-    (b'key="two" value="2"', b'key="two (" value="2"', "modifier phrase"),
 ])
 def test_pattern_that_does_not_compile_is_invalid(en_pack, old, new, named):
     doc = serialize_pack(en_pack)
@@ -109,6 +125,67 @@ def test_pattern_that_does_not_compile_is_invalid(en_pack, old, new, named):
     pack = load_pack(doc.replace(old, new))  # loading compiles no pattern
     with pytest.raises(PackInvalid, match=re.escape(named)):
         pack.compiled
+
+
+@pytest.mark.parametrize("old, new, named", [
+    (b"<PATTERN>this year</PATTERN>", b"<PATTERN>this {yaer}</PATTERN>",
+     "rule 'this-year': {yaer} names no lexicon kind"),
+    (b'relation="AFTER">after</SIGNAL>',
+     b'relation="AFTER">after {Month}</SIGNAL>',
+     "signal 'after': {Month} names no lexicon kind"),
+    (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;{aux}|was",
+     "aux clause template: {aux} names no lexicon kind"),
+])
+def test_placeholder_that_names_no_kind_is_invalid(en_pack, old, new, named):
+    doc = serialize_pack(en_pack)
+    assert doc.count(old) == 1
+    pack = load_pack(doc.replace(old, new))
+    with pytest.raises(PackInvalid, match=re.escape(named)):
+        pack.compiled
+
+
+def test_placeholder_that_names_an_empty_kind_is_invalid(es_pack):
+    # the Spanish pack spells no decade as a word
+    assert es_pack.lexicon["decade"] == {}
+    doc = serialize_pack(es_pack)
+    old = b"la d\xc3\xa9cada de (?P&lt;d&gt;[12]\\d{2}0)"
+    assert doc.count(old) == 1
+    pack = load_pack(doc.replace(old, old[:-1] + b"|{decade})"))
+    named = "rule 'd\xe9cada-de': {decade} names no lexicon kind with entries"
+    with pytest.raises(PackInvalid, match=re.escape(named)):
+        pack.compiled
+
+
+def test_placeholder_is_the_alternation_of_its_kind(en_pack):
+    assert en_pack.expand(r"(?P<u>{unit})\d{1,4}") == (
+        r"(?P<u>(?:centuries|century|decades|decade|months|month|years|"
+        r"days|year|day))\d{1,4}")
+
+
+@pytest.mark.parametrize("key", ["two (", "", "two years", "-two", "a|b"])
+def test_lexicon_key_that_is_not_a_word_is_invalid(en_pack, key):
+    doc = serialize_pack(en_pack)
+    entry = b'kind="number" key="two" value="2"'
+    with pytest.raises(PackInvalid, match=re.escape(f"number {key!r}: key")):
+        load_pack(doc.replace(entry, f'kind="number" key="{key}" '
+                                     f'value="2"'.encode()))
+
+
+@pytest.mark.parametrize("code", ["en", "es"])
+def test_no_shipped_pattern_restates_a_lexicon_table(code):
+    pack = get_pack(code)
+    patterns = [r.pattern for r in pack.te_rules] + \
+        [s.pattern for s in pack.signals] + \
+        [t.pattern for t in pack.clause_templates if t.pattern]
+    # the words of each innermost group's alternatives
+    alternations = [
+        {word for word in body.split("|")
+         if re.fullmatch(r"\w+(?:-\w+)*", word)}
+        for pattern in patterns
+        for body in re.findall(r"\((?:\?P<\w+>|\?:)?([^()]*)\)", pattern)]
+    for kind, table in pack.lexicon.items():
+        assert not table or not any(words >= set(table)
+                                    for words in alternations), kind
 
 
 @pytest.mark.parametrize("old, new, named", [
@@ -266,10 +343,11 @@ def test_number_parsing(en_pack, es_pack):
 
 
 def test_conjunctions_are_pack_data(en_pack, es_pack):
-    assert en_pack.conjunctions == {"and"}
-    assert es_pack.conjunctions == {"y"}
+    assert en_pack.lexicon["conjunction"] == {"and": None}
+    assert es_pack.lexicon["conjunction"] == {"y": None}
     assert es_pack.parse_number("mil ochocientos cincuenta y cinco") == 1855
     assert en_pack.parse_number("mil ochocientos cincuenta y cinco") is None
-    bare = dataclasses.replace(es_pack, conjunctions=frozenset())
+    bare = dataclasses.replace(es_pack,
+                               lexicon={**es_pack.lexicon, "conjunction": {}})
     assert bare.parse_number("mil ochocientos cincuenta y cinco") is None
     assert bare.parse_number("mil ochocientos cincuenta cinco") == 1855
