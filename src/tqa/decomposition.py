@@ -51,7 +51,7 @@ def _first_word_start(question: str) -> int:
 
 def _gap_is_determiners(gap: str, pack: LanguagePack) -> bool:
     tokens = [t for t in re.split(r"[^\w]+", gap.casefold()) if t]
-    return all(t in pack.determiners for t in tokens)
+    return all(t in pack.lexicon["determiner"] for t in tokens)
 
 
 def detect_signal(question: str, tes: list[TemporalExpressionTag],
@@ -126,7 +126,7 @@ def _focus_subject(focus: str, pack: LanguagePack) -> str | None:
     main verb ("Where did Bill Clinton study?" -> "Bill Clinton")."""
     tokens = _strip_question_mark(focus).split()
     aux_at = next((i for i, t in enumerate(tokens)
-                   if t.casefold() in pack.aux_words), None)
+                   if t.casefold() in pack.lexicon["aux"]), None)
     if aux_at is None:
         return None
     rest = tokens[aux_at + 1:]
@@ -152,7 +152,8 @@ def synthesize_when_question(clause: str, pack: LanguagePack,
                         "subject": subject, "verb": tokens[0],
                         "rest": " ".join(tokens[1:]), "clause": clause}, pack)
         elif kind == "clitic":
-            if len(tokens) >= 2 and tokens[0].casefold() in pack.clitics \
+            if len(tokens) >= 2 \
+                    and tokens[0].casefold() in pack.lexicon["clitic"] \
                     and pack.is_tensed(tokens[1]):
                 return _render(template, {
                     "clitic": tokens[0].casefold(), "verb": tokens[1],
@@ -182,7 +183,7 @@ def synthesize_when_question(clause: str, pack: LanguagePack,
 def _trim_focus(text: str, pack: LanguagePack) -> str:
     text = text.rstrip(" \t,;:")
     tokens = text.split()
-    while tokens and tokens[-1].casefold() in pack.trim_words:
+    while tokens and tokens[-1].casefold() in pack.lexicon["trim"]:
         tokens.pop()
     return " ".join(tokens)
 

@@ -103,9 +103,10 @@ def _words(text: str) -> list[str]:
 def _keywords(tokens: list[str], pack: LanguagePack,
               canon: dict[str, str]) -> list[str]:
     """Non-stopword tokens, filler-free, verb forms normalized, sorted."""
+    stopwords, fillers = pack.lexicon["stopword"], pack.lexicon["filler"]
     out = []
     for token in tokens:
-        if token in pack.stopwords or token in pack.fillers:
+        if token in stopwords or token in fillers:
             continue
         token = canon.get(token, token)
         if pack.is_verbish(token):
@@ -124,7 +125,7 @@ def _subquestion_matches(system: str, gold: str, pack: LanguagePack,
     gold_verb = next((token.casefold() for token in _words(gold)
                       if token.casefold() not in skip
                       and pack.is_verbish(token)), None)
-    if gold_verb is not None and gold_verb not in pack.fillers \
+    if gold_verb is not None and gold_verb not in pack.lexicon["filler"] \
             and gold_verb not in {t.casefold() for t in _words(system)}:
         return False
     return (_keywords(system_tokens, pack, canon)
@@ -153,8 +154,8 @@ def judge_decomposition(system: DecomposedQuestion, gold: GoldQuestion,
         else:
             acted = None not in (system.q_focus, system.q_restriction)
             canon = {w: a for a, b in pack.equivalences for w in (a, b)}
-            skip = {w.casefold() for w in pack.wh_words + pack.aux_words} \
-                | set(pack.clitics) | pack.stopwords
+            skip = {word for kind in ("wh", "aux", "clitic", "stopword")
+                    for word in pack.lexicon[kind]}
             correct = acted and all(
                 _subquestion_matches(got, want, pack, canon, skip)
                 for got, want in ((system.q_focus, gold.q_focus),

@@ -1,9 +1,10 @@
 """Language packs: every language-dependent resource in one declarative bundle.
 
 A pack carries the signal lexicon (with ordering keys), the ordered temporal
-expression rules, interrogative and verb lexicons, clause templates for
-"When"-question synthesis, stopwords and evaluation equivalences.  Packs are
-data: porting the layer to a new language means writing a pack, not code.
+expression rules, verb suffix rules, clause templates for "When"-question
+synthesis, evaluation equivalences and one LEXICON of word tables
+(interrogatives, verbs, numbers, stopwords, ...).  Packs are data: porting
+the layer to a new language means writing a pack, not code.
 
 Packs serialize to a UTF-8 XML file (see docs/pack-format.md).  The two
 built-in packs, English and Spanish, are such files in the package's data
@@ -50,8 +51,11 @@ OUTPUT_PIECE = re.compile(r"\{(\w+)(?::(\w+))?\}")
 #: Canonical units a ``unit`` lexicon entry may name.
 _UNITS = ("day", "month", "year", "decade", "century")
 
+#: A LEXICON key: words joined by hyphens, safe to splice into a pattern.
+_KEY = re.compile(r"\w+(?:-\w+)*")
+
 #: LEXICON kinds in file order: (value reader, test of the read value, the
-#: domain it checks).  A conjunction carries no value.
+#: domain it checks), or None for a kind whose entries carry no value.
 _LEXICON = {
     "month": (int, lambda n: 1 <= n <= 12, "a month number 1-12"),
     "number": (int, lambda n: n >= 0, "a non-negative integer"),
@@ -59,11 +63,18 @@ _LEXICON = {
     "decade": (int, lambda n: n >= 0 and n % 10 == 0,
                "a non-negative multiple of 10"),
     "unit": (str, _UNITS.__contains__, f"one of {', '.join(_UNITS)}"),
-    "conjunction": (lambda value: None, lambda value: True, ""),
+    "form": (str, _KEY.fullmatch, "a word or hyphenated words"),
+    **dict.fromkeys(("conjunction", "wh", "aux", "clitic", "lemma", "tensed",
+                     "gerund", "stopword", "filler", "determiner", "trim")),
 }
 
-#: A LEXICON key: words joined by hyphens, safe to splice into a pattern.
-_KEY = re.compile(r"\w+(?:-\w+)*")
+#: Every element a pack file may hold below its PACK root, by path.
+_PATHS = frozenset({
+    "SIGNALS", "SIGNALS/SIGNAL", "TERULES", "TERULES/RULE",
+    "TERULES/RULE/PATTERN", "TERULES/RULE/ARG", "SUFFIX", "CLAUSES",
+    "CLAUSES/TEMPLATE", "CLAUSES/TEMPLATE/PATTERN", "CLAUSES/TEMPLATE/OUTPUT",
+    "EQUIV", "LEXICON", "LEXICON/ENTRY",
+})
 
 #: ``{kind}`` in a pattern: the alternation of that LEXICON kind's words.
 #: The name starts with a letter, so ``\d{1,4}`` is no placeholder.
@@ -154,24 +165,13 @@ class LanguagePack:
 
     code: str
     name: str
-    wh_words: tuple[str, ...]
     signals: tuple[SignalEntry, ...]
     te_rules: tuple[TagRule, ...]
-    aux_words: tuple[str, ...]
-    clitics: tuple[str, ...]
-    verb_table: dict[str, str]
-    verb_lemmas: frozenset[str]
     verb_suffix_rules: tuple[tuple[str, str, bool], ...]
-    tensed_suffixes: tuple[str, ...]
-    gerund_suffixes: tuple[str, ...]
     clause_templates: tuple[ClauseTemplate, ...]
-    stopwords: frozenset[str]
-    fillers: frozenset[str]
     equivalences: tuple[tuple[str, str], ...]
-    determiners: frozenset[str]
-    trim_words: frozenset[str]
-    #: LEXICON kind -> its words, each with its value (None for a
-    #: conjunction).
+    #: LEXICON kind -> its words, each with its value (None for a kind
+    #: that takes none).
     lexicon: dict[str, dict]
 
     def expand(self, pattern: str, what: str = "pattern") -> str:
@@ -221,12 +221,12 @@ class LanguagePack:
     def rewrite_verb(self, word: str) -> str:
         """Normalize a verb form for synthesis (lemma or indicative form)."""
         key = word.lower()
-        if key in self.verb_table:
-            return self.verb_table[key]
+        if key in self.lexicon["form"]:
+            return self.lexicon["form"][key]
         for suffix, replacement, checked in self.verb_suffix_rules:
             if key.endswith(suffix) and len(key) > len(suffix) + 1:
                 candidate = key[:-len(suffix)] + replacement
-                if not checked or candidate in self.verb_lemmas:
+                if not checked or candidate in self.lexicon["lemma"]:
                     return candidate
         return word
 
@@ -234,24 +234,22 @@ class LanguagePack:
         """Is the token a tensed verb form?  Capitalized unknowns are not
         (proper-noun guard); known irregular forms always are."""
         key = word.lower()
-        if key in self.verb_table:
+        if key in self.lexicon["form"]:
             return True
         if word != key:
             return False
         return any(key.endswith(s) and len(key) >= len(s) + 3
-                   for s in self.tensed_suffixes)
+                   for s in self.lexicon["tensed"])
 
     def is_gerund(self, word: str) -> bool:
         key = word.lower()
         if word != key:
             return False
         return any(key.endswith(s) and len(key) >= len(s) + 2
-                   for s in self.gerund_suffixes)
+                   for s in self.lexicon["gerund"])
 
     def is_verbish(self, word: str) -> bool:
-        key = word.lower()
-        return key in self.verb_lemmas or key in self.verb_table \
-            or self.is_tensed(word)
+        return word.lower() in self.lexicon["lemma"] or self.is_tensed(word)
 
     # -- number lexicon ----------------------------------------------------
 
@@ -303,7 +301,7 @@ def validate_pack(pack: LanguagePack) -> LanguagePack:
                 f"{template.kind} clause template takes no PATTERN")
     if not any(t.kind == "fallback" for t in pack.clause_templates):
         raise PackInvalid("clause templates lack a fallback entry")
-    if not pack.stopwords:
+    if not pack.lexicon["stopword"]:
         raise PackInvalid("stopword list is empty")
     return pack
 
@@ -325,19 +323,19 @@ def _flag(el, attr: str, default: str, what: str) -> bool:
     return _BOOL[value]
 
 
-def _words(parent, tag, words):
-    el = ET.SubElement(parent, tag)
-    el.text = " ".join(words)
-    return el
-
-
-def _read_words(root, tag):
-    return tuple(root.findtext(tag, "").split())
+def _check_paths(el, path: str = "") -> None:
+    """Every element below ``el`` must be one of ``_PATHS``; an unknown one
+    (an old or misspelt section) raises PackInvalid naming its path."""
+    for child in el:
+        child_path = path + child.tag
+        if child_path not in _PATHS:
+            raise PackInvalid(f"unknown element PACK/{child_path}")
+        if len(child):
+            _check_paths(child, child_path + "/")
 
 
 def serialize_pack(pack: LanguagePack) -> bytes:
     root = ET.Element("PACK", code=pack.code, name=pack.name)
-    _words(root, "WHWORDS", pack.wh_words)
 
     signals = ET.SubElement(root, "SIGNALS")
     for entry in pack.signals:
@@ -353,17 +351,9 @@ def serialize_pack(pack: LanguagePack) -> bytes:
             arg = ET.SubElement(el, "ARG", key=key)
             arg.text = value
 
-    verbs = ET.SubElement(root, "VERBS")
-    _words(verbs, "AUX", pack.aux_words)
-    _words(verbs, "CLITICS", pack.clitics)
-    _words(verbs, "LEMMAS", sorted(pack.verb_lemmas))
-    for form, target in sorted(pack.verb_table.items()):
-        ET.SubElement(verbs, "FORM", {"from": form, "to": target})
     for suffix, replacement, checked in pack.verb_suffix_rules:
-        ET.SubElement(verbs, "SUFFIX", {"from": suffix, "to": replacement,
-                                        "checked": "1" if checked else "0"})
-    _words(verbs, "TENSED", pack.tensed_suffixes)
-    _words(verbs, "GERUND", pack.gerund_suffixes)
+        ET.SubElement(root, "SUFFIX", {"from": suffix, "to": replacement,
+                                       "checked": "1" if checked else "0"})
 
     clauses = ET.SubElement(root, "CLAUSES")
     for template in pack.clause_templates:
@@ -372,12 +362,8 @@ def serialize_pack(pack: LanguagePack) -> bytes:
             ET.SubElement(el, "PATTERN").text = template.pattern
         ET.SubElement(el, "OUTPUT").text = template.output
 
-    _words(root, "STOPWORDS", sorted(pack.stopwords))
-    _words(root, "FILLERS", sorted(pack.fillers))
     for a, b in pack.equivalences:
         ET.SubElement(root, "EQUIV", a=a, b=b)
-    _words(root, "DETERMINERS", sorted(pack.determiners))
-    _words(root, "TRIM", sorted(pack.trim_words))
 
     lexicon = ET.SubElement(root, "LEXICON")
     for kind in _LEXICON:
@@ -394,6 +380,7 @@ def load_pack(source) -> LanguagePack:
     root = read_xml(source, PackInvalid)
     if root.tag != "PACK":
         raise PackInvalid(f"root element is {root.tag!r}, expected PACK")
+    _check_paths(root)
 
     signals = []
     for el in root.findall("SIGNALS/SIGNAL"):
@@ -416,15 +403,10 @@ def load_pack(source) -> LanguagePack:
         te_rules.append(TagRule(name=el.get("name", ""), op=el.get("op", ""),
                                 pattern=el.findtext("PATTERN", ""), args=args))
 
-    verbs = root.find("VERBS")
-    if verbs is None:
-        raise PackInvalid("pack has no VERBS section")
-    verb_table = {el.get("from", ""): el.get("to", "")
-                  for el in verbs.findall("FORM")}
     suffix_rules = tuple((el.get("from", ""), el.get("to", ""),
                           _flag(el, "checked", "0",
                                 f"suffix {el.get('from', '')!r}"))
-                         for el in verbs.findall("SUFFIX"))
+                         for el in root.findall("SUFFIX"))
 
     templates = [ClauseTemplate(kind=el.get("kind", ""),
                                 output=el.findtext("OUTPUT", ""),
@@ -433,43 +415,45 @@ def load_pack(source) -> LanguagePack:
 
     lexicon = {kind: {} for kind in _LEXICON}
     for el in root.findall("LEXICON/ENTRY"):
-        kind, key, value = el.get("kind"), el.get("key", ""), el.get("value", "")
+        kind, key, value = el.get("kind"), el.get("key", ""), el.get("value")
         if kind not in _LEXICON:
             raise PackInvalid(f"unknown lexicon kind {kind!r}")
         if not _KEY.fullmatch(key):
             raise PackInvalid(f"{kind} {key!r}: key is not a word or "
                               "hyphenated words")
-        read, in_domain, domain = _LEXICON[kind]
-        try:
-            entry = read(value)
-            valid = in_domain(entry)
-        except ValueError:
-            valid = False
-        if not valid:
-            raise PackInvalid(f"{kind} {key!r}: value {value!r} is not "
-                              f"{domain}")
+        # every lookup casefolds its text first, so it never meets such a key
+        if key != key.casefold():
+            raise PackInvalid(f"{kind} {key!r}: key is not casefolded "
+                              f"({key.casefold()!r})")
+        if key in lexicon[kind]:
+            raise PackInvalid(f"{kind} {key!r}: key is given twice")
+        entry = None
+        if _LEXICON[kind] is None:
+            if value is not None:
+                raise PackInvalid(f"{kind} {key!r}: value {value!r} on a "
+                                  "kind that takes none")
+        else:
+            read, in_domain, domain = _LEXICON[kind]
+            value = value or ""
+            try:
+                entry = read(value)
+                valid = in_domain(entry)
+            except ValueError:
+                valid = False
+            if not valid:
+                raise PackInvalid(f"{kind} {key!r}: value {value!r} is not "
+                                  f"{domain}")
         lexicon[kind][key] = entry
 
     pack = LanguagePack(
         code=root.get("code", ""),
         name=root.get("name", ""),
-        wh_words=_read_words(root, "WHWORDS"),
         signals=tuple(signals),
         te_rules=tuple(te_rules),
-        aux_words=_read_words(verbs, "AUX"),
-        clitics=_read_words(verbs, "CLITICS"),
-        verb_table=verb_table,
-        verb_lemmas=frozenset(_read_words(verbs, "LEMMAS")),
         verb_suffix_rules=suffix_rules,
-        tensed_suffixes=_read_words(verbs, "TENSED"),
-        gerund_suffixes=_read_words(verbs, "GERUND"),
         clause_templates=tuple(templates),
-        stopwords=frozenset(_read_words(root, "STOPWORDS")),
-        fillers=frozenset(_read_words(root, "FILLERS")),
         equivalences=tuple((el.get("a", ""), el.get("b", ""))
                            for el in root.findall("EQUIV")),
-        determiners=frozenset(_read_words(root, "DETERMINERS")),
-        trim_words=frozenset(_read_words(root, "TRIM")),
         lexicon=lexicon,
     )
     return validate_pack(pack)

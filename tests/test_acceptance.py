@@ -304,8 +304,9 @@ def test_criterion_7_round_trips(en_pack, es_pack, testbed_en, testbed_es,
     for i in range(100):
         extra = SignalEntry(base=f"syn{i}", pattern=f"pattern {i}",
                             relation=rng.choice(list(Relation)))
+        stopwords = {**en_pack.lexicon["stopword"], f"w{i}": None}
         mutated = replace(en_pack, signals=en_pack.signals + (extra,),
-                          stopwords=en_pack.stopwords | {f"w{i}"})
+                          lexicon={**en_pack.lexicon, "stopword": stopwords})
         assert load_pack(serialize_pack(mutated)) == mutated
     print("ACCEPTANCE 7 (round-trips, shipped + 100 random each): PASS")
 

@@ -492,11 +492,17 @@ _BROKEN_INPUTS = [
      "no temporal expression rules"),
     ("unknown-template", "pack", rb'kind="fallback"', b'kind="other"',
      "unknown clause template kind 'other'"),
-    ("empty-stopwords", "pack", rb"<STOPWORDS>.*</STOPWORDS>",
-     b"<STOPWORDS />", "stopword list is empty"),
+    ("empty-stopwords", "pack", rb'(?:\s*<ENTRY kind="stopword"[^>]*>)+',
+     b"", "stopword list is empty"),
     ("root-not-pack", "pack", rb"<PACK (.*)</PACK>",
      rb"<LANGPACK \1</LANGPACK>", "root element is 'LANGPACK', expected PACK"),
-    ("no-verbs", "pack", rb"<VERBS>.*</VERBS>", b"", "pack has no VERBS"),
+    ("old-verbs-section", "pack", rb"</TERULES>",
+     b"</TERULES><VERBS><AUX>did do</AUX></VERBS>", "unknown element PACK/VERBS"),
+    ("old-whwords-section", "pack", rb"<SIGNALS>",
+     b"<WHWORDS>who what</WHWORDS><SIGNALS>", "unknown element PACK/WHWORDS"),
+    ("misspelt-pattern", "pack", rb"<PATTERN>this year</PATTERN>",
+     b"<PATERN>this year</PATERN>",
+     "unknown element PACK/TERULES/RULE/PATERN"),
     ("unknown-lexicon", "pack", rb'kind="conjunction"', b'kind="conj"',
      "unknown lexicon kind 'conj'"),
     ("fq-without-key", "fixtures", rb'<FQ key="[^"]*"', b"<FQ",

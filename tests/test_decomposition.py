@@ -229,7 +229,8 @@ def test_subquestions_are_simple(en_pack, es_pack, testbed_en, testbed_es):
 def _keyword_set(text, pack):
     out = set()
     for token in tokenize(text):
-        if token in pack.stopwords or token in pack.fillers:
+        if token in pack.lexicon["stopword"] \
+                or token in pack.lexicon["filler"]:
             continue
         if pack.is_verbish(token):
             token = pack.rewrite_verb(token)
@@ -248,7 +249,7 @@ def test_keyword_conservation(en_pack, es_pack, testbed_en, testbed_es):
             original = _keyword_set(gold.question, pack)
             signal_tokens = _keyword_set(analysis.signal.surface, pack)
             trimmed = {t for t in tokenize(gold.question)
-                       if t in pack.trim_words}
+                       if t in pack.lexicon["trim"]}
             produced = _keyword_set(analysis.q_focus, pack) \
                 | _keyword_set(analysis.q_restriction, pack)
             missing = original - signal_tokens - trimmed - produced

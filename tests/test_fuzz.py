@@ -28,6 +28,9 @@ LANGS = ("en", "es")
 MARKERS = {"en": ("about", "from", "in", "on", "to"),
            "es": ("alrededor", "desde", "en", "hasta")}
 
+#: The interrogative that opens each question built around a rule's text.
+WH = {"en": "who", "es": "quién"}
+
 
 def pack_words(pack) -> list[str]:
     """Signal, wh-, number and month words of a pack (plus its ordinal,
@@ -39,8 +42,8 @@ def pack_words(pack) -> list[str]:
     lexicon_words = {word for kind in ("number", "month", "ordinal",
                                        "decade", "unit")
                      for word in pack.lexicon[kind]}
-    return sorted(signal_words | set(MARKERS[pack.code]) | set(pack.wh_words)
-                  | lexicon_words)
+    return sorted(signal_words | set(MARKERS[pack.code])
+                  | set(pack.lexicon["wh"]) | lexicon_words)
 
 
 PACKS = {lang: get_pack(lang) for lang in LANGS}
@@ -96,7 +99,7 @@ def rule_texts(pack):
     return {rule.name: st.from_regex(re.compile(pack.expand(rule.pattern),
                                                 re.IGNORECASE),
                                      fullmatch=True).map(
-                lambda text: f"{pack.wh_words[0]} won {text}?")
+                lambda text: f"{WH[pack.code]} won {text}?")
             for rule in pack.te_rules}
 
 

@@ -133,8 +133,8 @@ def test_pattern_that_does_not_compile_is_invalid(en_pack, old, new, named):
     (b'relation="AFTER">after</SIGNAL>',
      b'relation="AFTER">after {Month}</SIGNAL>',
      "signal 'after': {Month} names no lexicon kind"),
-    (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;{aux}|was",
-     "aux clause template: {aux} names no lexicon kind"),
+    (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;{auxiliary}|was",
+     "aux clause template: {auxiliary} names no lexicon kind"),
 ])
 def test_placeholder_that_names_no_kind_is_invalid(en_pack, old, new, named):
     doc = serialize_pack(en_pack)
@@ -169,6 +169,51 @@ def test_lexicon_key_that_is_not_a_word_is_invalid(en_pack, key):
     with pytest.raises(PackInvalid, match=re.escape(f"number {key!r}: key")):
         load_pack(doc.replace(entry, f'kind="number" key="{key}" '
                                      f'value="2"'.encode()))
+
+
+@pytest.mark.parametrize("old, extra, named", [
+    (b'<ENTRY kind="number" key="two" value="2" />',
+     b'<ENTRY kind="number" key="two" value="3" />', "number 'two'"),
+    (b'<ENTRY kind="form" key="died" value="die" />',
+     b'<ENTRY kind="form" key="died" value="dead" />', "form 'died'"),
+], ids=["number", "form"])
+def test_lexicon_key_given_twice_is_invalid(en_pack, old, extra, named):
+    # the last entry would win: "two years ago" read as 2005, "died"
+    # rewritten to "dead"
+    doc = serialize_pack(en_pack)
+    assert doc.count(old) == 1
+    with pytest.raises(PackInvalid,
+                       match=re.escape(f"{named}: key is given twice")):
+        load_pack(doc.replace(old, old + extra))
+
+
+@pytest.mark.parametrize("code, old, new, named", [
+    ("en", b'key="august"', b'key="August"', "month 'August'"),
+    ("en", b'key="two"', b'key="Two"', "number 'Two'"),
+    ("es", b'kind="conjunction" key="y"', b'kind="conjunction" key="Y"',
+     "conjunction 'Y'"),
+], ids=["month", "number", "conjunction"])
+def test_lexicon_key_that_is_not_casefolded_is_invalid(code, old, new, named):
+    # {kind} matches such a key, but every lookup casefolds its text first
+    # and never meets it: "on August 15, 1990" would tag only 1990
+    doc = serialize_pack(get_pack(code))
+    assert doc.count(old) == 1
+    with pytest.raises(PackInvalid,
+                       match=re.escape(f"{named}: key is not casefolded")):
+        load_pack(doc.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new, named", [
+    (b'kind="stopword" key="the" />', b'kind="stopword" key="the" value="" />',
+     "stopword 'the': value '' on a kind that takes none"),
+    (b'kind="form" key="died" value="die" />', b'kind="form" key="died" />',
+     "form 'died': value '' is not a word"),
+], ids=["value-on-plain-kind", "form-without-value"])
+def test_entry_value_follows_its_kind(en_pack, old, new, named):
+    doc = serialize_pack(en_pack)
+    assert doc.count(old) == 1
+    with pytest.raises(PackInvalid, match=re.escape(named)):
+        load_pack(doc.replace(old, new))
 
 
 @pytest.mark.parametrize("code", ["en", "es"])
@@ -253,7 +298,8 @@ def test_round_trip_randomized(en_pack):
             en_pack,
             signals=tuple(signals) + (extra,),
             equivalences=en_pack.equivalences + (("x", f"y{rng.random()}"),),
-            stopwords=en_pack.stopwords | {f"w{rng.randrange(999)}"},
+            lexicon={**en_pack.lexicon, "stopword": {
+                **en_pack.lexicon["stopword"], f"w{rng.randrange(999)}": None}},
         )
         assert load_pack(serialize_pack(mutated)) == mutated
 
