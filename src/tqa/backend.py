@@ -67,6 +67,8 @@ def _parse_answer(el: ET.Element, key: str,
     try:
         rank = int(el.get("rank", ""))
     except ValueError:
+        rank = 0
+    if rank < 1:
         raise SchemaViolation(f"fixture {key!r}: bad rank {el.get('rank')!r}")
     value_text = el.get("value")
     value = None

@@ -132,6 +132,21 @@ def _subquestion_matches(system: str, gold: str, pack: LanguagePack,
             == _keywords(gold_tokens, pack, canon))
 
 
+def _split_matches(pairs, pack: LanguagePack) -> bool:
+    """Whether every (system, gold) sub-question pair matches.  A pair of
+    identical strings passes all three criteria, so it is accepted without
+    running them; the equivalence map and skip set are built only when
+    some pair differs."""
+    pairs = [(got, want) for got, want in pairs if got != want]
+    if not pairs:
+        return True
+    canon = {w: a for a, b in pack.equivalences for w in (a, b)}
+    skip = {word for kind in ("wh", "aux", "clitic", "stopword")
+            for word in pack.lexicon[kind]}
+    return all(_subquestion_matches(got, want, pack, canon, skip)
+               for got, want in pairs)
+
+
 def judge_decomposition(system: DecomposedQuestion, gold: GoldQuestion,
                         pack: LanguagePack) -> list[AspectJudgment]:
     """Judge every aspect applicable for the gold question's type."""
@@ -153,13 +168,9 @@ def judge_decomposition(system: DecomposedQuestion, gold: GoldQuestion,
             correct = acted and system.signal.surface == gold.signal
         else:
             acted = None not in (system.q_focus, system.q_restriction)
-            canon = {w: a for a, b in pack.equivalences for w in (a, b)}
-            skip = {word for kind in ("wh", "aux", "clitic", "stopword")
-                    for word in pack.lexicon[kind]}
-            correct = acted and all(
-                _subquestion_matches(got, want, pack, canon, skip)
-                for got, want in ((system.q_focus, gold.q_focus),
-                                  (system.q_restriction, gold.q_rest)))
+            correct = acted and _split_matches(
+                ((system.q_focus, gold.q_focus),
+                 (system.q_restriction, gold.q_rest)), pack)
         judgments.append(AspectJudgment(aspect, True, acted, correct))
     judged = [j for j in judgments if j.applicable]
     judgments.append(AspectJudgment(Aspect.DECOMP, True,

@@ -291,6 +291,10 @@ def validate_pack(pack: LanguagePack) -> LanguagePack:
     names = [rule.name for rule in pack.te_rules]
     if len(names) != len(set(names)):
         raise PackInvalid("temporal expression rule names are not unique")
+    for suffix, replacement, _ in pack.verb_suffix_rules:
+        # every word ends with '', so the row would rewrite every verb
+        if not suffix:
+            raise PackInvalid(f"suffix '' (to {replacement!r}): from is empty")
     for template in pack.clause_templates:
         if template.kind not in TEMPLATE_KINDS:
             raise PackInvalid(f"unknown clause template kind {template.kind!r}")

@@ -503,11 +503,17 @@ _BROKEN_INPUTS = [
     ("misspelt-pattern", "pack", rb"<PATTERN>this year</PATTERN>",
      b"<PATERN>this year</PATERN>",
      "unknown element PACK/TERULES/RULE/PATERN"),
+    ("empty-suffix-from", "pack", rb"<SUFFIX ",
+     b'<SUFFIX from="" to="ed" checked="0" /><SUFFIX ',
+     "suffix '' (to 'ed'): from is empty"),
     ("unknown-lexicon", "pack", rb'kind="conjunction"', b'kind="conj"',
      "unknown lexicon kind 'conj'"),
     ("fq-without-key", "fixtures", rb'<FQ key="[^"]*"', b"<FQ",
      "fixture entry without key"),
     ("bad-rank", "fixtures", rb'rank="1"', b'rank="x"', "bad rank 'x'"),
+    ("zero-rank", "fixtures", rb'rank="1"', b'rank="0"', "bad rank '0'"),
+    ("negative-rank", "fixtures", rb'rank="1"', b'rank="-1"',
+     "bad rank '-1'"),
 ]
 
 #: Per file: its name, its unbroken text and the command that reads it.

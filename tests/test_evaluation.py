@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tqa.corpus import GoldQuestion, Testbed
+from tqa.corpus import GoldQuestion, Testbed, shipped_testbed
 from tqa.decomposition import decompose
 from tqa.errors import EmptyPopulation
 from tqa.evaluation import (
@@ -17,6 +17,7 @@ from tqa.evaluation import (
     AspectJudgment,
     Counts,
     Verdict,
+    _subquestion_matches,
     gold_tags,
     judge_answer,
     judge_decomposition,
@@ -25,6 +26,7 @@ from tqa.evaluation import (
     render_xml,
     run_evaluation,
 )
+from tqa.packs import LanguagePack, get_pack
 from tqa.time_model import TimeValue
 
 from conftest import REF
@@ -235,6 +237,59 @@ def test_expression_rewrite_equivalence_passes_split(en_pack, testbed_en):
     gold = next(q for q in testbed_en.questions if q.id == 107)
     judged = _judged(gold.question, gold, en_pack)
     assert judged[Aspect.SPLIT].correct
+
+
+PACKS = {lang: get_pack(lang) for lang in ("en", "es")}
+
+
+def _judge_words(pack) -> list[str]:
+    """Every word the split criteria look up: the lexicon's keys, its
+    ``form`` lemmas and the equivalences' words."""
+    words = {word for table in pack.lexicon.values() for word in table}
+    words |= set(pack.lexicon["form"].values())
+    return sorted(words | {word for pair in pack.equivalences
+                           for word in pair})
+
+
+WORDS = {lang: _judge_words(pack) for lang, pack in PACKS.items()}
+
+
+@pytest.mark.parametrize("lang", ["en", "es"])
+@given(data=st.data())
+def test_identical_subquestions_pass_the_split_criteria(lang, data):
+    """The law behind judging an identical pair by identity: the three
+    criteria never reject a sub-question compared with itself."""
+    pack = PACKS[lang]
+    token = st.sampled_from(WORDS[lang])
+    words = data.draw(st.lists(token | token.map(str.capitalize), max_size=10))
+    text = (data.draw(st.sampled_from(("", "¿"))) + " ".join(words)
+            + data.draw(st.sampled_from(("", "?", " ?"))))
+    canon = {w: a for a, b in pack.equivalences for w in (a, b)}
+    skip = {word for kind in ("wh", "aux", "clitic", "stopword")
+            for word in pack.lexicon[kind]}
+    assert _subquestion_matches(text, text, pack, canon, skip)
+
+
+@pytest.mark.parametrize("lang,qid", [("en", 3), ("es", 105)])
+def test_identical_split_is_judged_without_the_criteria(monkeypatch, lang,
+                                                        qid):
+    pack = PACKS[lang]
+    testbed = shipped_testbed(lang)
+    gold = next(q for q in testbed.questions if q.id == qid)
+    system = decompose(gold.question, pack, testbed.ref)
+    assert (system.q_focus, system.q_restriction) == (gold.q_focus,
+                                                       gold.q_rest)
+    calls = []
+
+    def counting(self, token):
+        calls.append(token)
+        return is_verbish(self, token)
+
+    is_verbish = LanguagePack.is_verbish
+    monkeypatch.setattr(LanguagePack, "is_verbish", counting)
+    judged = {j.aspect: j for j in judge_decomposition(system, gold, pack)}
+    assert judged[Aspect.SPLIT].correct and judged[Aspect.DECOMP].correct
+    assert calls == []
 
 
 def test_bracket_normalized_te_judging(es_pack, testbed_es):
