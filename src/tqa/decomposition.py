@@ -54,6 +54,20 @@ def _gap_is_determiners(gap: str, pack: LanguagePack) -> bool:
     return all(t in pack.lexicon["determiner"] for t in tokens)
 
 
+def _tail_start(text: str, end: int) -> int:
+    """Start of the second-to-last whitespace-separated token of
+    ``text[:end]`` (0 when it has fewer tokens).  A modifier phrase before a
+    signal is a number and a unit, neither holding whitespace, so a match
+    can only start there or later."""
+    i = end
+    for _ in range(2):
+        while i and text[i - 1].isspace():
+            i -= 1
+        while i and not text[i - 1].isspace():
+            i -= 1
+    return i
+
+
 def detect_signal(question: str, tes: list[TemporalExpressionTag],
                   pack: LanguagePack) -> SignalMatch | None:
     """Leftmost signal; longest surface wins a shared start.
@@ -83,7 +97,8 @@ def detect_signal(question: str, tes: list[TemporalExpressionTag],
     end = -neg_end
     entry = pack.signals[order]
     modifier = None
-    mod_match = pack.compiled.modifier.search(question[:start])
+    mod_match = pack.compiled.modifier.search(
+        question, _tail_start(question, start), start)
     if mod_match:
         modifier = mod_match.group("mod")
         begin = mod_match.start("mod")

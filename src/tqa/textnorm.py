@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import re
 
-_TOKEN_SPLIT = re.compile(r"[^\w']+", re.UNICODE)
+# A run of word characters and apostrophes that starts and ends with a word
+# character.
+_TOKEN = re.compile(r"\w(?:[\w']*\w)?")
 
 
 def tokenize(text: str) -> list[str]:
     """Casefolded word tokens; punctuation splits, edge apostrophes drop."""
-    tokens = []
-    for raw in _TOKEN_SPLIT.split(text.casefold()):
-        token = raw.strip("'")
-        if token:
-            tokens.append(token)
-    return tokens
+    return _TOKEN.findall(text.casefold())
 
 
 def normalize_key(text: str) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -48,9 +49,6 @@ class DayInterval:
     def __post_init__(self):
         if self.start > self.end:
             raise ValueError(f"interval start {self.start} after end {self.end}")
-
-    def overlaps(self, other: "DayInterval") -> bool:
-        return self.start <= other.end and other.start <= self.end
 
 
 # Maximum day number per month; 29 for February since underspecified dates
@@ -180,16 +178,26 @@ def to_interval(v: TimeValue) -> DayInterval:
     return v.interval
 
 
-def relation_holds(key: Relation, f1: DayInterval, f2: DayInterval) -> bool:
-    """Evaluate an ordering relation between day intervals.
+def relation_test(key: Relation,
+                  f2: DayInterval) -> Callable[[DayInterval], bool]:
+    """The test of an ordering relation against the interval ``f2``: a
+    function of the interval ``f1`` that reads ``f2``'s bounds from its
+    closure, so a list is checked with one call per candidate.
 
     Point formulas generalize to intervals through their start days for
     the strict orders and equality; WITHIN uses overlap.
     """
+    start, end = f2.start, f2.end
     if key is Relation.AFTER:
-        return f1.start > f2.start
+        return lambda f1: f1.start > start
     if key is Relation.BEFORE:
-        return f1.start < f2.start
+        return lambda f1: f1.start < start
     if key is Relation.SIMULTANEOUS:
-        return f1.start == f2.start
-    return f1.overlaps(f2)
+        return lambda f1: f1.start == start
+    return lambda f1: f1.start <= end and start <= f1.end
+
+
+def relation_holds(key: Relation, f1: DayInterval, f2: DayInterval) -> bool:
+    """Evaluate an ordering relation between day intervals
+    (``relation_test``)."""
+    return relation_test(key, f2)(f1)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from datetime import date
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tqa import time_model
 from tqa.backend import (
@@ -18,6 +21,7 @@ from tqa.backend import (
 from tqa.errors import Diagnostic, SchemaViolation
 from tqa.packs import DATA_DIR
 from tqa.recomposition import DatedAnswer
+from tqa.textnorm import normalize_key, tokenize
 from tqa.time_model import TimeValue
 
 from conftest import REF
@@ -30,6 +34,26 @@ def test_backend_lookup_is_key_normalized(fixtures_en):
         answers = fixtures_en.answer(BackendQuery(phrasing, "en"))
         assert [a.text for a in answers] == [
             "Georgetown University", "Oxford University", "Yale Law School"]
+
+
+def _split_and_strip(text):
+    """The earlier definition of ``tokenize``: split the casefolded text at
+    runs of characters other than word characters and apostrophes, strip
+    each piece's edge apostrophes and drop the empty ones."""
+    tokens = []
+    for raw in re.split(r"[^\w']+", text.casefold()):
+        token = raw.strip("'")
+        if token:
+            tokens.append(token)
+    return tokens
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from(
+    "ab'\u2019\u00df\u0130_9 \t\u00a0-.,?\u00bf\u00e9\u03a3\u03c2"),
+    st.characters())))
+def test_tokenize_equals_split_and_strip(text):
+    assert tokenize(text) == _split_and_strip(text)
+    assert normalize_key(text) == " ".join(_split_and_strip(text))
 
 
 def test_backend_unknown_question_is_empty(fixtures_en):
@@ -90,6 +114,7 @@ def test_each_value_string_converts_to_an_interval_once(monkeypatch, en_pack):
         return parse(text)
 
     parse = time_model._parse
+    en_pack.compiled  # binding the rules parses their literal ARG values
     monkeypatch.setattr(time_model, "_parse", counting)
     store = load_fixtures(_wide_fixture())
     assert sorted(calls) == sorted(WIDE_YEARS + ("1965",))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqa.decomposition import (
     decompose,
@@ -88,6 +90,37 @@ def test_offset_number_is_a_whole_word(en_pack, es_pack, lang, question,
     assert analysis.signal.modifier is None
     assert analysis.diagnostics == ()
     assert analysis.q_focus == focus
+
+
+#: Gaps that both ``\s`` and ``str.split`` read as whitespace.
+SPACES = (" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c")
+
+
+def _heads(pack):
+    """Text before a signal: tokens glued from the pack's number and unit
+    words, digits, hyphens and apostrophes, each after a whitespace gap,
+    and a gap before the signal."""
+    pieces = sorted({*pack.lexicon["number"], *pack.lexicon["unit"],
+                     "7", "1968", "-", "'", "\u2019", "x"})
+    token = st.lists(st.sampled_from(pieces), min_size=1,
+                     max_size=3).map("".join)
+    gap = st.sampled_from(SPACES)
+    return st.tuples(st.lists(st.tuples(gap, token), max_size=6), gap).map(
+        lambda t: "".join(g + w for g, w in t[0]) + t[1])
+
+
+@pytest.mark.parametrize("lang,signal", [("en", "after"), ("es", "tras")])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_modifier_search_in_the_last_two_tokens_equals_full_search(
+        en_pack, es_pack, lang, signal, data):
+    pack = {"en": en_pack, "es": es_pack}[lang]
+    head = "Who won" + data.draw(_heads(pack))
+    found = detect_signal(f"{head}{signal} the war ended?", [], pack)
+    assert found.end == len(head) + len(signal)
+    full = pack.compiled.modifier.search(head)
+    assert found.modifier == (full["mod"] if full else None)
+    assert found.begin == (full.start("mod") if full else len(head))
 
 
 def test_trailing_connective_trimmed_from_focus(en_pack):

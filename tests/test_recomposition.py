@@ -228,22 +228,34 @@ class _DayOracle:
 
     @classmethod
     def recompose(cls, focus, restriction, key, constraints):
+        return cls.outcome(focus, restriction, key, constraints)[0]
+
+    @classmethod
+    def outcome(cls, focus, restriction, key, constraints):
+        """The answer texts and the diagnostics, read off the filtered
+        lists."""
         def keep(a):
             return a[1] is None or all(
                 set(cls.days(a[1])) & set(cls.days(c)) for c in constraints)
 
         focus = [a for a in focus if keep(a)]
         restriction = [a for a in restriction if keep(a)]
+        diagnostics = []
+        if constraints and any(a[1] is None for a in focus + restriction):
+            diagnostics.append(Diagnostic.UNDATED_PASSTHROUGH)
         if key is None:
-            return [a[0] for a in focus]
+            return [a[0] for a in focus], diagnostics
         if not restriction:
-            return []
-        reference = restriction[0]
-        if reference[1] is None:
-            return []
+            return [], diagnostics + [Diagnostic.NO_RESTRICTION_ANSWER]
+        reference = restriction[0][1]
+        if any(reference is None or interval is None
+               for _, interval in focus):
+            diagnostics.append(Diagnostic.UNDATED_ANSWER)
+        if reference is None:
+            return [], diagnostics
         return [text for text, interval in focus
                 if interval is not None
-                and cls.holds(key, interval, reference[1])]
+                and cls.holds(key, interval, reference)], diagnostics
 
 
 def test_recompose_agrees_with_day_oracle():
@@ -265,10 +277,17 @@ def test_recompose_agrees_with_day_oracle():
 
     keys = [None, Relation.AFTER, Relation.BEFORE, Relation.SIMULTANEOUS,
             Relation.WITHIN]
-    checked = 0
+    checked = wide = 0
     for trial in range(1000):
         key = keys[trial % len(keys)]
-        focus_spec = rand_answers(rng.randint(0, 5))
+        # every seventh trial, under each key in turn, has a long focus
+        # list, and every other one of those no undated answer
+        if trial % 7 == 6:
+            focus_spec = rand_answers(rng.randint(100, 300),
+                                      undated_ok=wide % 2 == 0)
+            wide += 1
+        else:
+            focus_spec = rand_answers(rng.randint(0, 5))
         restriction_spec = rand_answers(rng.randint(0, 3))
         constraints = [rand_interval() for _ in range(rng.randint(0, 2))]
 
@@ -276,14 +295,14 @@ def test_recompose_agrees_with_day_oracle():
                  for i, (text, interval) in enumerate(focus_spec)]
         restriction = [_FakeDated(text, i + 1, interval)
                        for i, (text, interval) in enumerate(restriction_spec)]
-        got = [a.text for a in
-               recompose(focus, restriction, key, constraints).answers]
-        want = _DayOracle.recompose(focus_spec, restriction_spec, key,
-                                    constraints)
+        result = recompose(focus, restriction, key, constraints)
+        got = [a.text for a in result.answers], list(result.diagnostics)
+        want = _DayOracle.outcome(focus_spec, restriction_spec, key,
+                                  constraints)
         assert got == want, (trial, key, focus_spec, restriction_spec,
                              constraints)
         checked += 1
-    assert checked == 1000
+    assert checked == 1000 and wide == 142
 
 
 class _FakeDated(DatedAnswer):
