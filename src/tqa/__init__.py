@@ -39,7 +39,7 @@ _EXPORTS = {
     "tagger": ("TemporalExpressionTag", "resolve_relative", "tag"),
     "textnorm": (),
     "time_model": (
-        "DayInterval", "Relation", "TimeValue", "relation_holds",
+        "DayInterval", "Relation", "TimeValue", "relation_test",
         "to_interval"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items()

@@ -14,8 +14,8 @@ from typing import Protocol
 from xml.etree import ElementTree as ET
 
 from .decomposition import DecomposedQuestion, decompose
-from .errors import (Diagnostic, SchemaViolation, TqaError, iter_xml,
-                     write_xml)
+from .errors import (Diagnostic, MalformedValue, SchemaViolation, TqaError,
+                     iter_xml, write_xml)
 from .packs import DATA_DIR, LanguagePack
 from .recomposition import ComplexAnswer, DatedAnswer, recompose
 from .textnorm import normalize_key
@@ -75,7 +75,10 @@ def _parse_answer(el: ET.Element, key: str,
     if value_text:
         value = values.get(value_text)
         if value is None:
-            value = values[value_text] = TimeValue(value_text)
+            try:
+                value = values[value_text] = TimeValue(value_text)
+            except MalformedValue as exc:
+                raise SchemaViolation(f"fixture {key!r}: value {exc}")
     return DatedAnswer(text=(el.text or "").strip(), rank=rank, value=value)
 
 

@@ -68,13 +68,19 @@ _LEXICON = {
                      "gerund", "stopword", "filler", "determiner", "trim")),
 }
 
-#: Every element a pack file may hold below its PACK root, by path.
-_PATHS = frozenset({
-    "SIGNALS", "SIGNALS/SIGNAL", "TERULES", "TERULES/RULE",
-    "TERULES/RULE/PATTERN", "TERULES/RULE/ARG", "SUFFIX", "CLAUSES",
-    "CLAUSES/TEMPLATE", "CLAUSES/TEMPLATE/PATTERN", "CLAUSES/TEMPLATE/OUTPUT",
-    "EQUIV", "LEXICON", "LEXICON/ENTRY",
-})
+#: Every element a pack file may hold, by path, with the attributes
+#: ``serialize_pack`` writes on it: a file holds no other.
+_ELEMENTS = {
+    "PACK": ("code", "name"),
+    "PACK/SIGNALS": (), "PACK/SIGNALS/SIGNAL": ("base", "relation"),
+    "PACK/TERULES": (), "PACK/TERULES/RULE": ("name", "op"),
+    "PACK/TERULES/RULE/PATTERN": (), "PACK/TERULES/RULE/ARG": ("key",),
+    "PACK/SUFFIX": ("from", "to", "checked"),
+    "PACK/CLAUSES": (), "PACK/CLAUSES/TEMPLATE": ("kind",),
+    "PACK/CLAUSES/TEMPLATE/PATTERN": (), "PACK/CLAUSES/TEMPLATE/OUTPUT": (),
+    "PACK/EQUIV": ("a", "b"),
+    "PACK/LEXICON": (), "PACK/LEXICON/ENTRY": ("kind", "key", "value"),
+}
 
 #: ``{kind}`` in a pattern: the alternation of that LEXICON kind's words.
 #: The name starts with a letter, so ``\d{1,4}`` is no placeholder.
@@ -314,28 +320,20 @@ def validate_pack(pack: LanguagePack) -> LanguagePack:
 # XML serialization
 # ---------------------------------------------------------------------------
 
-_BOOL = {"1": True, "0": False, "true": True, "false": False}
-
-
-def _flag(el, attr: str, default: str, what: str) -> bool:
-    """A boolean attribute; a value outside ``_BOOL`` raises PackInvalid
-    naming ``what`` it belongs to."""
-    value = el.get(attr, default)
-    if value not in _BOOL:
-        raise PackInvalid(f"{what}: {attr}={value!r} is not one of "
-                          "0, 1, true, false")
-    return _BOOL[value]
-
-
-def _check_paths(el, path: str = "") -> None:
-    """Every element below ``el`` must be one of ``_PATHS``; an unknown one
-    (an old or misspelt section) raises PackInvalid naming its path."""
-    for child in el:
-        child_path = path + child.tag
-        if child_path not in _PATHS:
-            raise PackInvalid(f"unknown element PACK/{child_path}")
-        if len(child):
-            _check_paths(child, child_path + "/")
+def _check_paths(elements, path: str = "") -> None:
+    """``elements``, below ``path``, and all below them must be in
+    ``_ELEMENTS`` with only its attributes; an unknown element or attribute
+    (an old or misspelt name) raises PackInvalid naming its path."""
+    for el in elements:
+        el_path = path + el.tag
+        attrs = _ELEMENTS.get(el_path)
+        if attrs is None:
+            raise PackInvalid(f"unknown element {el_path}")
+        for attr in el.keys():
+            if attr not in attrs:
+                raise PackInvalid(f"unknown attribute {el_path}@{attr}")
+        if len(el):
+            _check_paths(el, el_path + "/")
 
 
 def serialize_pack(pack: LanguagePack) -> bytes:
@@ -384,7 +382,7 @@ def load_pack(source) -> LanguagePack:
     root = read_xml(source, PackInvalid)
     if root.tag != "PACK":
         raise PackInvalid(f"root element is {root.tag!r}, expected PACK")
-    _check_paths(root)
+    _check_paths([root])
 
     signals = []
     for el in root.findall("SIGNALS/SIGNAL"):
@@ -394,9 +392,6 @@ def load_pack(source) -> LanguagePack:
         except ValueError:
             raise PackInvalid(f"signal {base!r}: unknown relation "
                               f"{relation!r}") from None
-        if not _flag(el, "event", "1", f"signal {base!r}"):
-            raise PackInvalid(f'signal {base!r}: event="0" is no signal; '
-                              "a signal links two events")
         signals.append(SignalEntry(base=base, pattern=(el.text or "").strip(),
                                    relation=relation))
 
@@ -407,10 +402,13 @@ def load_pack(source) -> LanguagePack:
         te_rules.append(TagRule(name=el.get("name", ""), op=el.get("op", ""),
                                 pattern=el.findtext("PATTERN", ""), args=args))
 
-    suffix_rules = tuple((el.get("from", ""), el.get("to", ""),
-                          _flag(el, "checked", "0",
-                                f"suffix {el.get('from', '')!r}"))
-                         for el in root.findall("SUFFIX"))
+    suffix_rules = []
+    for el in root.findall("SUFFIX"):
+        suffix, checked = el.get("from", ""), el.get("checked", "0")
+        if checked not in ("0", "1"):
+            raise PackInvalid(f"suffix {suffix!r}: checked={checked!r} is "
+                              "not 0 or 1")
+        suffix_rules.append((suffix, el.get("to", ""), checked == "1"))
 
     templates = [ClauseTemplate(kind=el.get("kind", ""),
                                 output=el.findtext("OUTPUT", ""),
@@ -454,7 +452,7 @@ def load_pack(source) -> LanguagePack:
         name=root.get("name", ""),
         signals=tuple(signals),
         te_rules=tuple(te_rules),
-        verb_suffix_rules=suffix_rules,
+        verb_suffix_rules=tuple(suffix_rules),
         clause_templates=tuple(templates),
         equivalences=tuple((el.get("a", ""), el.get("b", ""))
                            for el in root.findall("EQUIV")),

@@ -10,8 +10,9 @@ _TOKEN = re.compile(r"\w(?:[\w']*\w)?")
 
 
 def tokenize(text: str) -> list[str]:
-    """Casefolded word tokens; punctuation splits, edge apostrophes drop."""
-    return _TOKEN.findall(text.casefold())
+    """Casefolded word tokens; punctuation splits, edge apostrophes drop.
+    A typographic apostrophe reads as a straight one ("Spain’s")."""
+    return _TOKEN.findall(text.casefold().replace("\u2019", "'"))
 
 
 def normalize_key(text: str) -> str:

@@ -195,9 +195,3 @@ def relation_test(key: Relation,
     if key is Relation.SIMULTANEOUS:
         return lambda f1: f1.start == start
     return lambda f1: f1.start <= end and start <= f1.end
-
-
-def relation_holds(key: Relation, f1: DayInterval, f2: DayInterval) -> bool:
-    """Evaluate an ordering relation between day intervals
-    (``relation_test``)."""
-    return relation_test(key, f2)(f1)

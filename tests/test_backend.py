@@ -37,11 +37,12 @@ def test_backend_lookup_is_key_normalized(fixtures_en):
 
 
 def _split_and_strip(text):
-    """The earlier definition of ``tokenize``: split the casefolded text at
-    runs of characters other than word characters and apostrophes, strip
-    each piece's edge apostrophes and drop the empty ones."""
+    """The earlier definition of ``tokenize``: split the casefolded text,
+    with each typographic apostrophe read as a straight one, at runs of
+    characters other than word characters and apostrophes, strip each
+    piece's edge apostrophes and drop the empty ones."""
     tokens = []
-    for raw in re.split(r"[^\w']+", text.casefold()):
+    for raw in re.split(r"[^\w']+", text.casefold().replace("\u2019", "'")):
         token = raw.strip("'")
         if token:
             tokens.append(token)
@@ -54,6 +55,14 @@ def _split_and_strip(text):
 def test_tokenize_equals_split_and_strip(text):
     assert tokenize(text) == _split_and_strip(text)
     assert normalize_key(text) == " ".join(_split_and_strip(text))
+
+
+def test_typographic_apostrophe_reads_as_straight():
+    store = FixtureStore(entries={normalize_key("Who was Spain's king?"): (
+        DatedAnswer("Charles IV", 1),)}, ref=REF)
+    for question in ("Who was Spain's king?", "Who was Spain\u2019s king?"):
+        assert [a.text for a in store.answer(BackendQuery(question, "en"))] \
+            == ["Charles IV"]
 
 
 def test_backend_unknown_question_is_empty(fixtures_en):

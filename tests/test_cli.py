@@ -508,12 +508,20 @@ _BROKEN_INPUTS = [
      "suffix '' (to 'ed'): from is empty"),
     ("unknown-lexicon", "pack", rb'kind="conjunction"', b'kind="conj"',
      "unknown lexicon kind 'conj'"),
+    ("misspelt-attribute", "pack", rb'from="d" to="" checked',
+     b'from="d" to="" chekced', "unknown attribute PACK/SUFFIX@chekced"),
+    ("old-event-attribute", "pack", rb'relation="AFTER">',
+     b'relation="AFTER" event="1">',
+     "unknown attribute PACK/SIGNALS/SIGNAL@event"),
     ("fq-without-key", "fixtures", rb'<FQ key="[^"]*"', b"<FQ",
      "fixture entry without key"),
     ("bad-rank", "fixtures", rb'rank="1"', b'rank="x"', "bad rank 'x'"),
     ("zero-rank", "fixtures", rb'rank="1"', b'rank="0"', "bad rank '0'"),
     ("negative-rank", "fixtures", rb'rank="1"', b'rank="-1"',
      "bad rank '-1'"),
+    ("bad-value", "fixtures", rb'value="1964-1968"', b'value="1990-13-45"',
+     "fixture 'where did bill clinton study': value '1990-13-45': month "
+     "must be in 1..12"),
 ]
 
 #: Per file: its name, its unbroken text and the command that reads it.

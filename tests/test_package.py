@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
     "filter_by_te", "get_pack", "identify_type",
     "judge_answer", "judge_decomposition", "load_fixtures", "load_pack",
     "load_testbed", "metrics", "packs", "recompose",
-    "recomposition", "relation_holds", "render_text", "render_xml",
+    "recomposition", "relation_test", "render_text", "render_xml",
     "resolve_relative", "run_evaluation", "serialize_pack",
     "shipped_fixtures", "shipped_testbed", "split", "tag", "tagger",
     "textnorm", "time_model", "to_interval", "write_fixtures",

@@ -14,6 +14,7 @@ from tqa.decomposition import decompose
 from tqa.tagger import _OPS, tag
 from tqa.errors import PackInvalid
 from tqa.packs import (
+    _ELEMENTS,
     _LEXICON,
     CORE_SIGNAL_BASES,
     DATA_DIR,
@@ -63,14 +64,25 @@ def test_shipped_packs_are_canonical(code):
 
 
 def test_pack_format_doc_names_what_a_pack_holds():
-    # a third language is written from the doc alone
+    # a third language is written from the doc alone: the doc names all a
+    # pack may hold, and documents no element or attribute load_pack refuses
     doc = (Path(__file__).parents[1] / "docs" / "pack-format.md").read_text(
         encoding="utf-8")
-    names = set(_LEXICON) | set(_OPS) | set(TEMPLATE_KINDS)
-    for code in ("en", "es"):
-        for el in ET.fromstring(serialize_pack(get_pack(code))).iter():
-            names |= {el.tag, *el.attrib}
+    attributes = {attr for attrs in _ELEMENTS.values() for attr in attrs}
+    names = {*_LEXICON, *_OPS, *TEMPLATE_KINDS, *attributes,
+             *(path.rsplit("/", 1)[-1] for path in _ELEMENTS)}
     assert sorted(name for name in names if f"`{name}`" not in doc) == []
+    tree = re.search(r"^```\n(PACK\n.*?)^```", doc, re.M | re.S).group(1)
+    # each line names paths below PACK, and each path its parents
+    paths = {"/".join(["PACK", *parts[:i]])
+             for line in tree.splitlines()[1:]
+             for path in line.strip().split(", ")
+             for parts in [path.split("/")] for i in range(len(parts) + 1)}
+    assert paths == set(_ELEMENTS)
+    tables = re.findall(r"^\| attribute +\|.*\n((?:\|.*\n)+)", doc, re.M)
+    documented = {name for table in tables
+                  for name in re.findall(r"^\| `(\w+)`", table, re.M)}
+    assert len(tables) == 2 and documented and documented <= attributes
 
 
 @pytest.mark.parametrize("code", ["en", "es"])
@@ -250,14 +262,6 @@ def test_pattern_that_matches_the_empty_string_is_invalid(en_pack, old, new,
         pack.compiled
 
 
-def test_signal_that_links_no_event_is_invalid(en_pack):
-    doc = serialize_pack(en_pack).replace(
-        b'<SIGNAL base="since" relation="AFTER">',
-        b'<SIGNAL base="since" relation="AFTER" event="0">')
-    with pytest.raises(PackInvalid, match="signal 'since'.*event"):
-        load_pack(doc)
-
-
 def test_span_relation_is_invalid(en_pack):
     doc = serialize_pack(en_pack).replace(
         b'<SIGNAL base="since" relation="AFTER">',
@@ -266,17 +270,48 @@ def test_span_relation_is_invalid(en_pack):
         load_pack(doc)
 
 
-def test_leftover_attributes_are_ignored(en_pack):
+@pytest.mark.parametrize("old, new, named", [
+    (b'<PACK code="en" name="English">',
+     b'<PACK code="en" name="English" when="when">', "PACK@when"),
+    (b'relation="AFTER">after</SIGNAL>',
+     b'relation="AFTER" event="0">after</SIGNAL>',
+     "PACK/SIGNALS/SIGNAL@event"),
+    (b'relation="AFTER">after</SIGNAL>',
+     b'relation="AFTER" event="1">after</SIGNAL>',
+     "PACK/SIGNALS/SIGNAL@event"),
+    (b'relation="AFTER">after</SIGNAL>',
+     b'relation="AFTER" verified="0">after</SIGNAL>',
+     "PACK/SIGNALS/SIGNAL@verified"),
+    (b'<SUFFIX from="d" to="" checked="1" />',
+     b'<SUFFIX from="d" to="" chekced="1" />', "PACK/SUFFIX@chekced"),
+], ids=["pack-when", "signal-event-0", "signal-event-1", "signal-verified",
+        "suffix-chekced"])
+def test_old_or_misspelt_attribute_is_invalid(en_pack, old, new, named):
+    # read as nothing, "chekced" would leave its row unchecked and rewrite
+    # "played" to "playe"
     doc = serialize_pack(en_pack)
-    old = doc.replace(b'<PACK code="en" name="English">',
-                      b'<PACK code="en" name="English" when="when">')
-    old = old.replace(b'relation="AFTER">after</SIGNAL>',
-                      b'relation="AFTER" event="1" verified="0">after</SIGNAL>')
-    assert old != doc
-    assert load_pack(old) == en_pack
+    assert doc.count(old) == 1
+    with pytest.raises(PackInvalid,
+                       match=re.escape(f"unknown attribute {named}")):
+        load_pack(doc.replace(old, new))
 
 
-@pytest.mark.parametrize("value", ["yes", "", "2", "True"])
+@pytest.mark.parametrize("path", sorted(_ELEMENTS))
+def test_attribute_its_element_does_not_take_is_invalid(en_pack, path):
+    # the English pack holds every path; the attribute is one another
+    # element takes, so the check goes by path
+    attr = next(attr for attrs in _ELEMENTS.values() for attr in attrs
+                if attr not in _ELEMENTS[path])
+    root = ET.fromstring(serialize_pack(en_pack))
+    el = root if path == "PACK" else root.find(path.removeprefix("PACK/"))
+    el.set(attr, "1")
+    with pytest.raises(PackInvalid,
+                       match=re.escape(f"unknown attribute {path}@{attr}")):
+        load_pack(ET.tostring(root))
+
+
+@pytest.mark.parametrize("value", ["yes", "", "2", "True", "true",
+                                   "false"])
 def test_boolean_attribute_is_strict(en_pack, value):
     doc = serialize_pack(en_pack)
     old = b'<SUFFIX from="ied" to="y" checked="1" />'

@@ -15,7 +15,7 @@ from tqa.time_model import (
     DayInterval,
     Relation,
     TimeValue,
-    relation_holds,
+    relation_test,
     to_interval,
 )
 
@@ -238,21 +238,21 @@ def test_before_after_antisymmetric_on_disjoint_intervals():
     for a in _window_intervals():
         for b in _window_intervals():
             if a.end < b.start:  # a entirely earlier
-                assert relation_holds(Relation.BEFORE, a, b)
-                assert not relation_holds(Relation.AFTER, a, b)
-                assert relation_holds(Relation.AFTER, b, a)
-                assert not relation_holds(Relation.BEFORE, b, a)
+                assert relation_test(Relation.BEFORE, b)(a)
+                assert not relation_test(Relation.AFTER, b)(a)
+                assert relation_test(Relation.AFTER, a)(b)
+                assert not relation_test(Relation.BEFORE, a)(b)
 
 
 def test_simultaneous_is_start_equality():
     month = DayInterval(date(1990, 8, 1), date(1990, 8, 31))
-    assert relation_holds(Relation.SIMULTANEOUS, month, month)
+    assert relation_test(Relation.SIMULTANEOUS, month)(month)
     # a period sharing only its end with the reference does not qualify
     earlier = DayInterval(date(1964, 1, 1), date(1968, 12, 31))
     y1968 = TimeValue.of_year(1968).interval
-    assert not relation_holds(Relation.SIMULTANEOUS, earlier, y1968)
+    assert not relation_test(Relation.SIMULTANEOUS, y1968)(earlier)
     same_start = DayInterval(date(1968, 1, 1), date(1970, 12, 31))
-    assert relation_holds(Relation.SIMULTANEOUS, same_start, y1968)
+    assert relation_test(Relation.SIMULTANEOUS, y1968)(same_start)
 
 
 def test_ordering_reproduces_study_periods_example():
@@ -260,10 +260,10 @@ def test_ordering_reproduces_study_periods_example():
     oxford = to_interval(TimeValue("1968-1970"))
     yale = to_interval(TimeValue("1970-1973"))
     restriction = to_interval(TimeValue("1968"))
-    assert relation_holds(Relation.BEFORE, georgetown, restriction)
-    assert not relation_holds(Relation.BEFORE, oxford, restriction)
-    assert not relation_holds(Relation.BEFORE, yale, restriction)
-    assert relation_holds(Relation.AFTER, yale, restriction)
-    assert not relation_holds(Relation.AFTER, georgetown, restriction)
-    assert relation_holds(Relation.SIMULTANEOUS, oxford, restriction)
-    assert not relation_holds(Relation.SIMULTANEOUS, georgetown, restriction)
+    assert relation_test(Relation.BEFORE, restriction)(georgetown)
+    assert not relation_test(Relation.BEFORE, restriction)(oxford)
+    assert not relation_test(Relation.BEFORE, restriction)(yale)
+    assert relation_test(Relation.AFTER, restriction)(yale)
+    assert not relation_test(Relation.AFTER, restriction)(georgetown)
+    assert relation_test(Relation.SIMULTANEOUS, restriction)(oxford)
+    assert not relation_test(Relation.SIMULTANEOUS, restriction)(georgetown)
