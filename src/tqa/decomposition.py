@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import date
 
 from .errors import Diagnostic, UnsplittableQuestion
-from .packs import OUTPUT_PIECE, ClauseTemplate, LanguagePack
+from .packs import OUTPUT_PIECE, LanguagePack
 from .tagger import TemporalExpressionTag, tag
 from .time_model import Relation
 
@@ -124,8 +124,7 @@ def _squeeze(text: str) -> str:
     return re.sub(r"\s+([?,.])", r"\1", text)
 
 
-def _render(template: ClauseTemplate, groups: dict[str, str],
-            pack: LanguagePack) -> str:
+def _render(output: str, groups: dict[str, str], pack: LanguagePack) -> str:
     def replace(m):
         name, transform = m.group(1), m.group(2)
         value = groups.get(name, "")
@@ -133,7 +132,7 @@ def _render(template: ClauseTemplate, groups: dict[str, str],
             return pack.rewrite_verb(value)
         return value
 
-    return _squeeze(OUTPUT_PIECE.sub(replace, template.output))
+    return _squeeze(OUTPUT_PIECE.sub(replace, output))
 
 
 def _focus_subject(focus: str, pack: LanguagePack) -> str | None:
@@ -157,42 +156,41 @@ def synthesize_when_question(clause: str, pack: LanguagePack,
     """Recast a clause as a "When" question using the pack's templates."""
     clause = _squeeze(_strip_question_mark(clause))
     tokens = clause.split()
-    for template in pack.clause_templates:
-        kind = template.kind
+    for kind, regex, output in pack.compiled.templates:
         if kind == "gerund":
             if tokens and pack.is_gerund(tokens[0]) and focus:
                 subject = _focus_subject(focus, pack)
                 if subject:
-                    return _render(template, {
+                    return _render(output, {
                         "subject": subject, "verb": tokens[0],
                         "rest": " ".join(tokens[1:]), "clause": clause}, pack)
         elif kind == "clitic":
             if len(tokens) >= 2 \
                     and tokens[0].casefold() in pack.lexicon["clitic"] \
                     and pack.is_tensed(tokens[1]):
-                return _render(template, {
+                return _render(output, {
                     "clitic": tokens[0].casefold(), "verb": tokens[1],
                     "rest": " ".join(tokens[2:]), "clause": clause}, pack)
         elif kind == "verb_first":
             if tokens and pack.is_tensed(tokens[0]):
-                return _render(template, {
+                return _render(output, {
                     "verb": tokens[0], "rest": " ".join(tokens[1:]),
                     "clause": clause}, pack)
         elif kind == "aux":
-            m = pack.compiled.aux[template.pattern].match(clause)
+            m = regex.match(clause)
             if m:
                 groups = {k: v or "" for k, v in m.groupdict().items()}
                 groups["clause"] = clause
-                return _render(template, groups, pack)
+                return _render(output, groups, pack)
         elif kind == "tensed":
             hit = next((i for i, t in enumerate(tokens)
                         if i >= 1 and pack.is_tensed(t)), None)
             if hit is not None:
-                return _render(template, {
+                return _render(output, {
                     "subj": " ".join(tokens[:hit]), "verb": tokens[hit],
                     "rest": " ".join(tokens[hit + 1:]), "clause": clause}, pack)
         else:  # fallback
-            return _render(template, {"clause": clause}, pack)
+            return _render(output, {"clause": clause}, pack)
 
 
 def _trim_focus(text: str, pack: LanguagePack) -> str:
@@ -215,6 +213,8 @@ def split(question: str, signal: SignalMatch,
         raise UnsplittableQuestion(f"no text before signal {signal.surface!r}")
     q_focus = _squeeze(focus) + "?"
     q_restriction = synthesize_when_question(clause, pack, focus=q_focus)
+    if not q_restriction:
+        raise UnsplittableQuestion(f"no restriction from clause {clause!r}")
     return q_focus, q_restriction
 
 

@@ -26,7 +26,7 @@ class OutOfCalendar(TqaError):
 
 
 class UnsplittableQuestion(TqaError):
-    """A complex question has no text before or after its temporal signal."""
+    """A complex question cannot be split at its temporal signal."""
 
 
 class SchemaViolation(TqaError):

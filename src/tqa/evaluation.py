@@ -301,7 +301,7 @@ def run_evaluation(testbed: Testbed, pack: LanguagePack,
     if not testbed.questions:
         raise EmptyPopulation("empty testbed")
     extension_rules = {rule.name for rule in pack.te_rules
-                       if rule.arg("extension")}
+                       if dict(rule.args).get("extension")}
     extension_matches = 0
     results = []
     for gold in testbed.questions:

@@ -137,12 +137,6 @@ class TagRule:
     pattern: str
     args: tuple[tuple[str, str], ...] = ()
 
-    def arg(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.args:
-            if k == key:
-                return v
-        return default
-
 
 @dataclass(frozen=True)
 class ClauseTemplate:
@@ -156,12 +150,13 @@ class ClauseTemplate:
 class CompiledPack(NamedTuple):
     """A pack's patterns compiled and its rules bound: per rule in order its
     (regex, normalization function, parsed ARG, name), per signal entry its
-    regex, each aux template pattern's regex, and the quantity+unit phrase
-    that may stand right before a signal ("four years")."""
+    regex, per clause template in order its (kind, PATTERN regex or None,
+    OUTPUT), and the quantity+unit phrase that may stand right before a
+    signal ("four years")."""
 
     rules: tuple
     signals: tuple[re.Pattern, ...]
-    aux: dict[str, re.Pattern]
+    templates: tuple[tuple[str, re.Pattern | None, str], ...]
     modifier: re.Pattern
 
 
@@ -195,32 +190,52 @@ class LanguagePack:
 
     @cached_property
     def compiled(self) -> CompiledPack:
-        """Every pattern expanded and compiled, every rule bound (by
-        ``tagger.bind_rule``, which holds the op table) and every clause
-        template OUTPUT checked on the pack's first use, raising the first
-        fault as PackInvalid whatever the use."""
+        """The one check of what the pack means, on its first use: every
+        pattern expanded and compiled, every rule bound (by
+        ``tagger.bind_rule``, which holds the op table), every template and
+        needed table checked, raising the first fault as PackInvalid."""
         from .tagger import bind_rule
+        if not self.te_rules:
+            raise PackInvalid("pack has no temporal expression rules")
+        if len({rule.name for rule in self.te_rules}) < len(self.te_rules):
+            raise PackInvalid("temporal expression rule names are not unique")
         rules = tuple(bind_rule(rule, self.expand(rule.pattern,
                                                   f"rule {rule.name!r}"))
                       for rule in self.te_rules)
+        missing = CORE_SIGNAL_BASES - {entry.base for entry in self.signals}
+        if missing:
+            raise PackInvalid(
+                f"signal lexicon misses core bases: {sorted(missing)}")
         signals = []
         for entry in self.signals:
             what = f"signal {entry.base!r}"
             signals.append(_bounded(self.expand(entry.pattern, what), what))
-        aux = {}
+        templates = []
         for template in self.clause_templates:
-            what = f"{template.kind} clause template"
-            pieces = TEMPLATE_KINDS[template.kind]
-            if template.kind == "aux":
+            kind, what = template.kind, f"{template.kind} clause template"
+            if kind not in TEMPLATE_KINDS:
+                raise PackInvalid(f"unknown clause template kind {kind!r}")
+            pieces, regex = TEMPLATE_KINDS[kind], None
+            if kind == "aux":
+                if not template.pattern:
+                    raise PackInvalid("aux clause template has no PATTERN")
                 regex = _compile(self.expand(template.pattern, what), what)
-                aux[template.pattern] = regex
                 pieces = tuple(regex.groupindex)
+            elif template.pattern is not None:
+                raise PackInvalid(f"{what} takes no PATTERN")
+            if not template.output.strip():
+                raise PackInvalid(f"{what}: OUTPUT is blank")
             _check_output(template.output, ("clause",) + pieces, what)
+            templates.append((kind, regex, template.output))
+        if not any(kind == "fallback" for kind, _, _ in templates):
+            raise PackInvalid("clause templates lack a fallback entry")
+        if not self.lexicon["stopword"]:
+            raise PackInvalid("stopword list is empty")
         # the number a whole word: "Russia years" holds none
         what = "modifier phrase of the number and unit words"
         modifier = _compile(self.expand(
             r"(?P<mod>(?<!\w)(?:\d+|{number})\s+{unit})\s+$", what), what)
-        return CompiledPack(rules, tuple(signals), aux, modifier)
+        return CompiledPack(rules, tuple(signals), tuple(templates), modifier)
 
     # -- verb lexicon ------------------------------------------------------
 
@@ -284,46 +299,15 @@ class LanguagePack:
         return sum(values)
 
 
-def validate_pack(pack: LanguagePack) -> LanguagePack:
-    """Enforce pack invariants; raise PackInvalid naming the first violation."""
-    if not pack.code:
-        raise PackInvalid("pack code is empty")
-    bases = {entry.base for entry in pack.signals}
-    missing = CORE_SIGNAL_BASES - bases
-    if missing:
-        raise PackInvalid(f"signal lexicon misses core bases: {sorted(missing)}")
-    if not pack.te_rules:
-        raise PackInvalid("pack has no temporal expression rules")
-    names = [rule.name for rule in pack.te_rules]
-    if len(names) != len(set(names)):
-        raise PackInvalid("temporal expression rule names are not unique")
-    for suffix, replacement, _ in pack.verb_suffix_rules:
-        # every word ends with '', so the row would rewrite every verb
-        if not suffix:
-            raise PackInvalid(f"suffix '' (to {replacement!r}): from is empty")
-    for template in pack.clause_templates:
-        if template.kind not in TEMPLATE_KINDS:
-            raise PackInvalid(f"unknown clause template kind {template.kind!r}")
-        if template.kind == "aux" and not template.pattern:
-            raise PackInvalid("aux clause template has no PATTERN")
-        if template.kind != "aux" and template.pattern is not None:
-            raise PackInvalid(
-                f"{template.kind} clause template takes no PATTERN")
-    if not any(t.kind == "fallback" for t in pack.clause_templates):
-        raise PackInvalid("clause templates lack a fallback entry")
-    if not pack.lexicon["stopword"]:
-        raise PackInvalid("stopword list is empty")
-    return pack
-
-
 # ---------------------------------------------------------------------------
 # XML serialization
 # ---------------------------------------------------------------------------
 
 def _check_paths(elements, path: str = "") -> None:
     """``elements``, below ``path``, and all below them must be in
-    ``_ELEMENTS`` with only its attributes; an unknown element or attribute
-    (an old or misspelt name) raises PackInvalid naming its path."""
+    ``_ELEMENTS`` with exactly its attributes, bar an ENTRY's ``value``
+    (its kind decides); an unknown element or attribute (an old or misspelt
+    name) or a missing attribute raises PackInvalid naming its path."""
     for el in elements:
         el_path = path + el.tag
         attrs = _ELEMENTS.get(el_path)
@@ -332,6 +316,9 @@ def _check_paths(elements, path: str = "") -> None:
         for attr in el.keys():
             if attr not in attrs:
                 raise PackInvalid(f"unknown attribute {el_path}@{attr}")
+        for attr in attrs:
+            if attr not in el.attrib and attr != "value":
+                raise PackInvalid(f"missing attribute {el_path}@{attr}")
         if len(el):
             _check_paths(el, el_path + "/")
 
@@ -378,7 +365,8 @@ def serialize_pack(pack: LanguagePack) -> bytes:
 
 
 def load_pack(source) -> LanguagePack:
-    """Load and validate a pack from a path, byte string or file object."""
+    """Load a pack from a path, byte string or file object, checking what
+    reading the file needs; ``LanguagePack.compiled`` checks the rest."""
     root = read_xml(source, PackInvalid)
     if root.tag != "PACK":
         raise PackInvalid(f"root element is {root.tag!r}, expected PACK")
@@ -386,7 +374,7 @@ def load_pack(source) -> LanguagePack:
 
     signals = []
     for el in root.findall("SIGNALS/SIGNAL"):
-        base, relation = el.get("base", ""), el.get("relation", "")
+        base, relation = el.get("base"), el.get("relation")
         try:
             relation = Relation(relation)
         except ValueError:
@@ -397,27 +385,30 @@ def load_pack(source) -> LanguagePack:
 
     te_rules = []
     for el in root.findall("TERULES/RULE"):
-        args = tuple((arg.get("key", ""), arg.text or "")
+        args = tuple((arg.get("key"), arg.text or "")
                      for arg in el.findall("ARG"))
-        te_rules.append(TagRule(name=el.get("name", ""), op=el.get("op", ""),
+        te_rules.append(TagRule(name=el.get("name"), op=el.get("op"),
                                 pattern=el.findtext("PATTERN", ""), args=args))
 
     suffix_rules = []
     for el in root.findall("SUFFIX"):
-        suffix, checked = el.get("from", ""), el.get("checked", "0")
+        suffix, to, checked = el.get("from"), el.get("to"), el.get("checked")
         if checked not in ("0", "1"):
             raise PackInvalid(f"suffix {suffix!r}: checked={checked!r} is "
                               "not 0 or 1")
-        suffix_rules.append((suffix, el.get("to", ""), checked == "1"))
+        # every word ends with '', so the row would rewrite every verb
+        if not suffix:
+            raise PackInvalid(f"suffix '' (to {to!r}): from is empty")
+        suffix_rules.append((suffix, to, checked == "1"))
 
-    templates = [ClauseTemplate(kind=el.get("kind", ""),
+    templates = [ClauseTemplate(kind=el.get("kind"),
                                 output=el.findtext("OUTPUT", ""),
                                 pattern=el.findtext("PATTERN"))
                  for el in root.findall("CLAUSES/TEMPLATE")]
 
     lexicon = {kind: {} for kind in _LEXICON}
     for el in root.findall("LEXICON/ENTRY"):
-        kind, key, value = el.get("kind"), el.get("key", ""), el.get("value")
+        kind, key, value = el.get("kind"), el.get("key"), el.get("value")
         if kind not in _LEXICON:
             raise PackInvalid(f"unknown lexicon kind {kind!r}")
         if not _KEY.fullmatch(key):
@@ -447,18 +438,19 @@ def load_pack(source) -> LanguagePack:
                                   f"{domain}")
         lexicon[kind][key] = entry
 
-    pack = LanguagePack(
-        code=root.get("code", ""),
-        name=root.get("name", ""),
+    if not root.get("code"):
+        raise PackInvalid("pack code is empty")
+    return LanguagePack(
+        code=root.get("code"),
+        name=root.get("name"),
         signals=tuple(signals),
         te_rules=tuple(te_rules),
         verb_suffix_rules=tuple(suffix_rules),
         clause_templates=tuple(templates),
-        equivalences=tuple((el.get("a", ""), el.get("b", ""))
+        equivalences=tuple((el.get("a"), el.get("b"))
                            for el in root.findall("EQUIV")),
         lexicon=lexicon,
     )
-    return validate_pack(pack)
 
 
 def get_pack(code: str, pack_dir=None) -> LanguagePack:

@@ -219,9 +219,9 @@ def bind_rule(rule: TagRule, pattern: str):
     """The rule's compiled ``pattern`` (its own, expanded), normalization
     function, parsed ARG (None for an op that reads none) and name;
     PackInvalid when the pattern does not compile or matches the empty
-    string, the op is unknown, the pattern lacks a group the op requires
-    or the ARG is outside its domain.  Read through
-    ``LanguagePack.compiled``."""
+    string, the op is unknown, the pattern lacks a group the op requires,
+    or an ARG is given twice, not read (``extension`` aside) or outside
+    its domain.  Read through ``LanguagePack.compiled``."""
     if rule.op not in _OPS:
         raise PackInvalid(f"rule {rule.name!r}: unknown op {rule.op!r}")
     op, groups, arg = _OPS[rule.op]
@@ -230,11 +230,18 @@ def bind_rule(rule: TagRule, pattern: str):
     if missing:
         raise PackInvalid(f"rule {rule.name!r}: op {rule.op!r} requires "
                           f"pattern group(s) {', '.join(missing)}")
+    keys = [key for key, _ in rule.args]
+    for key in keys:
+        if key not in ("extension", arg and arg[0]):
+            raise PackInvalid(f"rule {rule.name!r}: op {rule.op!r} reads no "
+                              f"ARG {key}")
+        if keys.count(key) > 1:
+            raise PackInvalid(f"rule {rule.name!r}: ARG {key} is given twice")
     if arg is None:
         return regex, op, None, rule.name
     key, default, read = arg
     try:
-        return regex, op, read(rule.arg(key, default)), rule.name
+        return regex, op, read(dict(rule.args).get(key, default)), rule.name
     except (ValueError, MalformedValue) as exc:
         raise PackInvalid(f"rule {rule.name!r}: ARG {key}: {exc}") from None
 

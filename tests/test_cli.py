@@ -513,6 +513,23 @@ _BROKEN_INPUTS = [
     ("old-event-attribute", "pack", rb'relation="AFTER">',
      b'relation="AFTER" event="1">',
      "unknown attribute PACK/SIGNALS/SIGNAL@event"),
+    ("missing-checked", "pack", rb' checked="1"', b"",
+     "missing attribute PACK/SUFFIX@checked"),
+    ("no-during-signal", "pack", rb'<SIGNAL base="during"[^>]*>during</SIGNAL>',
+     b"", "signal lexicon misses core bases: ['during']"),
+    ("repeated-rule-name", "pack", rb'name="quote-year"', b'name="plain-year"',
+     "temporal expression rule names are not unique"),
+    ("misspelt-arg-key", "pack", rb'key="direction"', b'key="direciton"',
+     "rule 'relative-ago': op 'relative' reads no ARG direciton"),
+    ("aux-without-pattern", "pack", rb"<PATTERN>\^.*?</PATTERN>", b"",
+     "aux clause template has no PATTERN"),
+    ("pattern-on-fallback", "pack", rb'<TEMPLATE kind="fallback">',
+     b'<TEMPLATE kind="fallback"><PATTERN>x</PATTERN>',
+     "fallback clause template takes no PATTERN"),
+    ("no-fallback", "pack", rb'<TEMPLATE kind="fallback">.*?</TEMPLATE>', b"",
+     "clause templates lack a fallback entry"),
+    ("blank-output", "pack", rb"<OUTPUT>When did \{clause\} happen\?</OUTPUT>",
+     b"<OUTPUT> </OUTPUT>", "fallback clause template: OUTPUT is blank"),
     ("fq-without-key", "fixtures", rb'<FQ key="[^"]*"', b"<FQ",
      "fixture entry without key"),
     ("bad-rank", "fixtures", rb'rank="1"', b'rank="x"', "bad rank 'x'"),
@@ -547,6 +564,21 @@ def test_broken_input_is_one_error_line(capsys, tmp_path, kind, old, new,
     code, out, err = run(capsys, *argv(path))
     assert_one_error_line(code, out, err)
     assert fault in err
+
+
+@pytest.mark.parametrize("command", ["answer", "decompose"])
+def test_blank_restriction_template_is_a_pack_error(capsys, tmp_path,
+                                                    command):
+    # rendered, the blank fallback would be a blank backend question or an
+    # empty Q-REST
+    doc = (DATA_DIR / "en.xml").read_bytes()
+    old = b"<OUTPUT>When did {clause} happen?</OUTPUT>"
+    assert doc.count(old) == 1
+    (tmp_path / "en.xml").write_bytes(doc.replace(old, b"<OUTPUT />"))
+    code, out, err = run(capsys, command, "--pack", str(tmp_path),
+                         "Who won the race after the war?")
+    assert_one_error_line(code, out, err)
+    assert "fallback clause template: OUTPUT is blank" in err
 
 
 def test_eval_on_a_testbed_with_no_question(capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,6 +221,23 @@ def test_unsplittable_question(en_pack):
     analysis = decompose("What happened before?", en_pack, REF)
     assert analysis.qtype == 4
     assert analysis.signal.base == "before"
+    assert analysis.q_focus is None and analysis.q_restriction is None
+    assert analysis.diagnostics == (Diagnostic.UNSPLITTABLE,)
+
+
+def test_template_that_renders_a_blank_restriction_is_unsplittable(en_pack):
+    # "the war ended" reaches the tensed template with nothing after its verb
+    templates = tuple(dataclasses.replace(t, output="{rest}")
+                      if t.kind == "tensed" else t
+                      for t in en_pack.clause_templates)
+    pack = dataclasses.replace(en_pack, clause_templates=templates)
+    question = "Who won the race after the war ended?"
+    assert decompose(question, en_pack, REF).q_restriction == \
+        "When did the war end?"
+    signal = detect_signal(question, [], pack)
+    with pytest.raises(UnsplittableQuestion, match="no restriction"):
+        split(question, signal, [], pack)
+    analysis = decompose(question, pack, REF)
     assert analysis.q_focus is None and analysis.q_restriction is None
     assert analysis.diagnostics == (Diagnostic.UNSPLITTABLE,)
 

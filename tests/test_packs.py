@@ -23,7 +23,6 @@ from tqa.packs import (
     get_pack,
     load_pack,
     serialize_pack,
-    validate_pack,
 )
 from tqa.time_model import Relation
 
@@ -31,8 +30,7 @@ from conftest import REF
 
 
 def test_builtins_validate(en_pack, es_pack):
-    assert validate_pack(en_pack) is en_pack
-    assert validate_pack(es_pack) is es_pack
+    assert en_pack.compiled and es_pack.compiled
 
 
 def test_signal_lexicon_covers_core_bases(en_pack, es_pack):
@@ -310,6 +308,21 @@ def test_attribute_its_element_does_not_take_is_invalid(en_pack, path):
         load_pack(ET.tostring(root))
 
 
+@pytest.mark.parametrize("path, attr", [
+    (path, attr) for path, attrs in _ELEMENTS.items() for attr in attrs
+    if (path, attr) != ("PACK/LEXICON/ENTRY", "value")])
+def test_missing_attribute_is_invalid(path, attr):
+    # read as "" or "0", a SUFFIX row without checked would load unchecked
+    # and rewrite "played" to "playe"; only an ENTRY's kind decides whether
+    # it takes a value
+    root = ET.fromstring((DATA_DIR / "en.xml").read_bytes())
+    el = root if path == "PACK" else root.find(path.removeprefix("PACK/"))
+    del el.attrib[attr]
+    with pytest.raises(PackInvalid,
+                       match=re.escape(f"missing attribute {path}@{attr}")):
+        load_pack(ET.tostring(root))
+
+
 @pytest.mark.parametrize("value", ["yes", "", "2", "True", "true",
                                    "false"])
 def test_boolean_attribute_is_strict(en_pack, value):
@@ -349,7 +362,7 @@ def test_pack_dir_loading(tmp_path, es_pack):
 def test_missing_core_signal_is_invalid(en_pack):
     pruned = tuple(s for s in en_pack.signals if s.base != "during")
     with pytest.raises(PackInvalid) as err:
-        validate_pack(dataclasses.replace(en_pack, signals=pruned))
+        dataclasses.replace(en_pack, signals=pruned).compiled
     assert "during" in str(err.value)
 
 
@@ -357,7 +370,7 @@ def test_missing_fallback_template_is_invalid(en_pack):
     pruned = tuple(t for t in en_pack.clause_templates
                    if t.kind != "fallback")
     with pytest.raises(PackInvalid):
-        validate_pack(dataclasses.replace(en_pack, clause_templates=pruned))
+        dataclasses.replace(en_pack, clause_templates=pruned).compiled
 
 
 @pytest.mark.parametrize("pattern", [None, ""], ids=["missing", "empty"])
@@ -366,7 +379,7 @@ def test_aux_template_without_pattern_is_invalid(en_pack, pattern):
                       if t.kind == "aux" else t
                       for t in en_pack.clause_templates)
     with pytest.raises(PackInvalid, match="aux clause template has no"):
-        validate_pack(dataclasses.replace(en_pack, clause_templates=templates))
+        dataclasses.replace(en_pack, clause_templates=templates).compiled
 
 
 def test_pattern_on_a_non_aux_template_is_invalid(en_pack):
@@ -375,13 +388,67 @@ def test_pattern_on_a_non_aux_template_is_invalid(en_pack):
                       for t in en_pack.clause_templates)
     with pytest.raises(PackInvalid,
                        match="fallback clause template takes no PATTERN"):
-        validate_pack(dataclasses.replace(en_pack, clause_templates=templates))
+        dataclasses.replace(en_pack, clause_templates=templates).compiled
 
 
 def test_duplicate_rule_names_are_invalid(en_pack):
     doubled = en_pack.te_rules + (en_pack.te_rules[0],)
     with pytest.raises(PackInvalid):
-        validate_pack(dataclasses.replace(en_pack, te_rules=doubled))
+        dataclasses.replace(en_pack, te_rules=doubled).compiled
+
+
+def test_unknown_template_kind_is_invalid(en_pack):
+    # a pack built in code meets the check a pack file meets
+    templates = tuple(dataclasses.replace(t, kind="other")
+                      if t.kind == "fallback" else t
+                      for t in en_pack.clause_templates)
+    with pytest.raises(PackInvalid,
+                       match="unknown clause template kind 'other'"):
+        dataclasses.replace(en_pack, clause_templates=templates).compiled
+
+
+@pytest.mark.parametrize("use", [
+    lambda pack: tag("in 1990", pack, REF),
+    lambda pack: decompose("Who won after the war?", pack, REF),
+], ids=["tag", "decompose"])
+def test_pack_without_a_core_signal_fails_at_first_use(en_pack, use):
+    pruned = tuple(s for s in en_pack.signals if s.base != "during")
+    pack = load_pack(serialize_pack(
+        dataclasses.replace(en_pack, signals=pruned)))  # loads
+    with pytest.raises(PackInvalid, match=re.escape("bases: ['during']")):
+        use(pack)
+
+
+@pytest.mark.parametrize("new", [b"<OUTPUT> </OUTPUT>", b""],
+                         ids=["blank", "missing"])
+def test_blank_template_output_is_invalid(new):
+    # rendered, it would ask the backend a blank restriction question
+    doc = (DATA_DIR / "en.xml").read_bytes()
+    old = b"<OUTPUT>When did {clause} happen?</OUTPUT>"
+    assert doc.count(old) == 1
+    pack = load_pack(doc.replace(old, new))
+    with pytest.raises(PackInvalid,
+                       match="fallback clause template: OUTPUT is blank"):
+        pack.compiled
+
+
+@pytest.mark.parametrize("old, new, named", [
+    (b'<ARG key="direction">', b'<ARG key="direciton">',
+     "rule 'relative-ago': op 'relative' reads no ARG direciton"),
+    (b'<ARG key="direction">past</ARG>',
+     b'<ARG key="direction">past</ARG><ARG key="direction">future</ARG>',
+     "rule 'relative-ago': ARG direction is given twice"),
+    (b"<PATTERN>this year</PATTERN>",
+     b'<PATTERN>this year</PATTERN><ARG key="value">2000</ARG>',
+     "rule 'this-year': op 'ref-year' reads no ARG value"),
+], ids=["misspelt", "twice", "op-reads-none"])
+def test_arg_key_the_op_does_not_read_is_invalid(old, new, named):
+    # read as nothing, "direciton" would leave "2 years ago" in the past
+    doc = (DATA_DIR / "en.xml").read_bytes()
+    assert doc.count(old) == 1
+    pack = load_pack(doc.replace(old, new))
+    with pytest.raises(PackInvalid, match=re.escape(named)):
+        pack.compiled
 
 
 def test_unknown_builtin_language():
