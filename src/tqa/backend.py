@@ -79,7 +79,11 @@ def _parse_answer(el: ET.Element, key: str,
                 value = values[value_text] = TimeValue(value_text)
             except MalformedValue as exc:
                 raise SchemaViolation(f"fixture {key!r}: value {exc}")
-    return DatedAnswer(text=(el.text or "").strip(), rank=rank, value=value)
+    text = (el.text or "").strip()
+    if not text:
+        raise SchemaViolation(
+            f"fixture {key!r}: answer at rank {rank} has no text")
+    return DatedAnswer(text=text, rank=rank, value=value)
 
 
 def _parse_entry(fq: ET.Element, values: dict[str, TimeValue],
@@ -174,7 +178,7 @@ def answer_decomposed(analysis: DecomposedQuestion, language: str,
     if Diagnostic.UNSPLITTABLE in analysis.diagnostics:
         return ComplexAnswer((), None, None, analysis.diagnostics)
     constraints = [t.interval for t in analysis.tes if t.interval is not None]
-    if analysis.qtype in (1, 2):
+    if analysis.signal is None:
         focus = backend.answer(BackendQuery(analysis.original, language))
         result = recompose(focus, [], None, constraints)
     else:

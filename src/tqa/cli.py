@@ -60,25 +60,30 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("tag", help="tag temporal expressions")
+    p.set_defaults(run=cmd_tag)
     _add_common(p)
     p.add_argument("question")
 
     p = commands.add_parser("classify", help="print the question type (1-4)")
+    p.set_defaults(run=cmd_classify)
     _add_common(p)
     p.add_argument("question")
 
     p = commands.add_parser("decompose",
                             help="print the decomposition as a Q block")
+    p.set_defaults(run=cmd_decompose)
     _add_common(p)
     p.add_argument("question")
 
     p = commands.add_parser("answer", help="answer through the fixture backend")
+    p.set_defaults(run=cmd_answer)
     _add_common(p)
     p.add_argument("--fixtures", metavar="FILE",
                    help="fixture XML (default: fixtures shipped for --lang)")
     p.add_argument("question")
 
     p = commands.add_parser("eval", help="run the evaluation harness")
+    p.set_defaults(run=cmd_eval)
     _add_common(p, ref=False)
     p.add_argument("--testbed", metavar="FILE",
                    help="testbed XML (default: testbed shipped for --lang)")
@@ -89,41 +94,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "xml"), default="text")
 
     p = commands.add_parser("pack-validate", help="validate a language pack")
+    p.set_defaults(run=cmd_pack_validate)
     _add_common(p, ref=False)
     return parser
 
 
-def cmd_tag(args) -> int:
+def cmd_tag(args, pack) -> int:
     from .tagger import tag
-    pack = get_pack(args.lang, args.pack)
     for t in tag(args.question, pack, _resolve_ref(args)):
         print(f'<TE value="{t.value.canonical}">{t.surface}</TE>')
     return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, pack) -> int:
     from .decomposition import decompose
-    pack = get_pack(args.lang, args.pack)
     print(decompose(args.question, pack, _resolve_ref(args)).qtype)
     return 0
 
 
-def cmd_decompose(args) -> int:
-    from .corpus import decomposition_to_element, format_q_block
+def cmd_decompose(args, pack) -> int:
+    from .corpus import format_q_block
     from .decomposition import decompose
-    pack = get_pack(args.lang, args.pack)
     analysis = decompose(args.question, pack, _resolve_ref(args))
     if Diagnostic.UNSPLITTABLE in analysis.diagnostics:
         print(Diagnostic.UNSPLITTABLE.value, file=sys.stderr)
         return 1
-    print(format_q_block(decomposition_to_element(analysis)))
+    print(format_q_block(analysis))
     return 0
 
 
-def cmd_answer(args) -> int:
+def cmd_answer(args, pack) -> int:
     from .backend import (answer_complex_question, check_language,
                           load_fixtures, shipped_fixtures)
-    pack = get_pack(args.lang, args.pack)
     if args.fixtures:
         store = load_fixtures(args.fixtures)
     else:
@@ -140,11 +142,10 @@ def cmd_answer(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, pack) -> int:
     from .backend import load_fixtures
     from .corpus import load_testbed, shipped_testbed
     from .evaluation import render_text, render_xml, run_evaluation
-    pack = get_pack(args.lang, args.pack)
     testbed = load_testbed(args.testbed) if args.testbed \
         else shipped_testbed(args.lang)
     store = load_fixtures(args.fixtures) if args.fixtures else None
@@ -168,23 +169,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_pack_validate(args) -> int:
-    pack = get_pack(args.lang, args.pack)
+def cmd_pack_validate(args, pack) -> int:
     pack.compiled  # compiles every pattern and binds every rule
     print(f"OK {pack.code}: {len(pack.signals)} signals, "
           f"{len(pack.te_rules)} expression rules, "
           f"{len(pack.clause_templates)} clause templates")
     return 0
-
-
-_COMMANDS = {
-    "tag": cmd_tag,
-    "classify": cmd_classify,
-    "decompose": cmd_decompose,
-    "answer": cmd_answer,
-    "eval": cmd_eval,
-    "pack-validate": cmd_pack_validate,
-}
 
 
 def main(argv=None) -> int:
@@ -194,7 +184,7 @@ def main(argv=None) -> int:
         print("error: question is empty", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args, get_pack(args.lang, args.pack))
     except (SchemaViolation, PackInvalid, MalformedValue, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

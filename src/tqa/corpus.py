@@ -160,20 +160,16 @@ def write_testbed(testbed: Testbed) -> bytes:
     return write_xml(root)
 
 
-def decomposition_to_element(analysis: DecomposedQuestion,
-                             qid: int = 1) -> ET.Element:
-    """Render a system decomposition as a Q block (loadable as a testbed).
+def format_q_block(analysis: DecomposedQuestion) -> str:
+    """Render a system decomposition as Q block 1 (loadable as a testbed).
 
     A complex question left unsplit has no sub-questions to write and
     raises SchemaViolation."""
-    return _q_element(GoldQuestion(
-        id=qid, question=analysis.original, qtype=analysis.qtype,
+    element = _q_element(GoldQuestion(
+        id=1, question=analysis.original, qtype=analysis.qtype,
         tes=tuple((t.surface, t.value) for t in analysis.tes),
         signal=analysis.signal.surface if analysis.signal else None,
         q_focus=analysis.q_focus, q_rest=analysis.q_restriction))
-
-
-def format_q_block(element: ET.Element) -> str:
     ET.indent(element, space="  ")
     return ET.tostring(element, encoding="unicode")
 

@@ -152,13 +152,13 @@ def _focus_subject(focus: str, pack: LanguagePack) -> str | None:
 
 
 def synthesize_when_question(clause: str, pack: LanguagePack,
-                             focus: str | None = None) -> str:
+                             focus: str) -> str:
     """Recast a clause as a "When" question using the pack's templates."""
     clause = _squeeze(_strip_question_mark(clause))
     tokens = clause.split()
     for kind, regex, output in pack.compiled.templates:
         if kind == "gerund":
-            if tokens and pack.is_gerund(tokens[0]) and focus:
+            if tokens and pack.is_gerund(tokens[0]):
                 subject = _focus_subject(focus, pack)
                 if subject:
                     return _render(output, {
@@ -235,7 +235,7 @@ def decompose(question: str, pack: LanguagePack, ref: date,
     qtype = identify_type(tes, signal)
     diagnostics = []
     q_focus = q_restriction = None
-    if qtype in (3, 4):
+    if signal is not None:
         try:
             q_focus, q_restriction = split(question, signal, tes, pack)
         except UnsplittableQuestion:

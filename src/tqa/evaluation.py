@@ -340,23 +340,21 @@ def run_evaluation(testbed: Testbed, pack: LanguagePack,
 # ---------------------------------------------------------------------------
 
 def _tables(report: EvalReport):
-    """Each non-empty table as (XML element, text heading, rows, with_qa)."""
+    """Each non-empty table as (XML element, text heading, rows)."""
     tables = (
-        ("DECOMPOSITION", "Decomposition unit, by aspect",
-         report.aspect_rows, False),
-        ("BYTYPE", "Decomposition unit, by question type",
-         report.type_rows, False),
-        ("QA", "Question answering, by question type", report.qa_rows, True))
+        ("DECOMPOSITION", "Decomposition unit, by aspect", report.aspect_rows),
+        ("BYTYPE", "Decomposition unit, by question type", report.type_rows),
+        ("QA", "Question answering, by question type", report.qa_rows))
     return [table for table in tables if table[2]]
 
 
-def _figures(row: EvalRow, with_qa: bool) -> dict[str, str]:
+def _figures(row: EvalRow) -> dict[str, str]:
     """A row's counts and percentages, keyed by XML attribute name."""
     c, m = row.counts, row.metrics
     figures = {"pos": str(c.pos), "act": str(c.act), "corr": str(c.corr),
                "prec": f"{100 * m.prec:.2f}", "rec": f"{100 * m.rec:.2f}",
                "f": f"{100 * m.f:.2f}"}
-    if with_qa:
+    if m.mrr is not None:  # a question answering row
         figures["ine"] = str(c.ine)
         figures["mrr"] = f"{100 * m.mrr:.2f}"
     return figures
@@ -367,8 +365,8 @@ _TEXT_COLUMNS = ("pos", "act", "corr", "ine", "prec", "rec", "f", "mrr")
 _PERCENT = frozenset({"prec", "rec", "f", "mrr"})
 
 
-def _render_rows(rows, with_qa: bool) -> list[str]:
-    figures = [_figures(row, with_qa) for row in rows]
+def _render_rows(rows) -> list[str]:
+    figures = [_figures(row) for row in rows]
     columns = [c for c in _TEXT_COLUMNS if c in figures[0]]
     table = [[""] + [c.upper() for c in columns]] + [
         [row.label] + [f[c] + "%" * (c in _PERCENT) for c in columns]
@@ -387,8 +385,8 @@ def render_text(report: EvalReport) -> str:
         title += ", gold temporal expressions injected"
     title += ")"
     lines = [title]
-    for _, heading, rows, with_qa in _tables(report):
-        lines += ["", heading] + _render_rows(rows, with_qa)
+    for _, heading, rows in _tables(report):
+        lines += ["", heading] + _render_rows(rows)
     if report.extension_matches:
         lines += ["", f"note: {report.extension_matches} expression(s) "
                       "matched by capability-extension rules (word-spelled "
@@ -400,9 +398,9 @@ def render_xml(report: EvalReport) -> bytes:
     root = ET.Element("REPORT", lang=report.language, ref=report.ref,
                       goldte="1" if report.gold_te_injection else "0",
                       extensions=str(report.extension_matches))
-    for name, _, rows, with_qa in _tables(report):
+    for name, _, rows in _tables(report):
         section = ET.SubElement(root, name)
         for row in rows:
             ET.SubElement(section, "ROW",
-                          {"label": row.label, **_figures(row, with_qa)})
+                          {"label": row.label, **_figures(row)})
     return write_xml(root)

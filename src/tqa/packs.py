@@ -241,7 +241,7 @@ class LanguagePack:
 
     def rewrite_verb(self, word: str) -> str:
         """Normalize a verb form for synthesis (lemma or indicative form)."""
-        key = word.lower()
+        key = word.casefold()
         if key in self.lexicon["form"]:
             return self.lexicon["form"][key]
         for suffix, replacement, checked in self.verb_suffix_rules:
@@ -254,23 +254,23 @@ class LanguagePack:
     def is_tensed(self, word: str) -> bool:
         """Is the token a tensed verb form?  Capitalized unknowns are not
         (proper-noun guard); known irregular forms always are."""
-        key = word.lower()
+        key = word.casefold()
         if key in self.lexicon["form"]:
             return True
-        if word != key:
+        if word != word.lower():
             return False
         return any(key.endswith(s) and len(key) >= len(s) + 3
                    for s in self.lexicon["tensed"])
 
     def is_gerund(self, word: str) -> bool:
-        key = word.lower()
-        if word != key:
+        if word != word.lower():
             return False
+        key = word.casefold()
         return any(key.endswith(s) and len(key) >= len(s) + 2
                    for s in self.lexicon["gerund"])
 
     def is_verbish(self, word: str) -> bool:
-        return word.lower() in self.lexicon["lemma"] or self.is_tensed(word)
+        return word.casefold() in self.lexicon["lemma"] or self.is_tensed(word)
 
     # -- number lexicon ----------------------------------------------------
 

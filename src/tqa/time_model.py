@@ -33,10 +33,10 @@ class Relation(enum.Enum):
     """Ordering a temporal signal imposes between a focus date F1 and a
     restriction date or period F2."""
 
-    AFTER = "AFTER"                # F1 > F2
-    BEFORE = "BEFORE"              # F1 < F2
-    SIMULTANEOUS = "SIMULTANEOUS"  # F1 = F2
-    WITHIN = "WITHIN"              # F2i <= F1 <= F2f
+    AFTER = "AFTER"                # F1 starts on a later day than F2
+    BEFORE = "BEFORE"              # F1 starts on an earlier day than F2
+    SIMULTANEOUS = "SIMULTANEOUS"  # F1 starts on the day F2 starts
+    WITHIN = "WITHIN"              # F1 and F2 share at least one day
 
 
 @dataclass(frozen=True)

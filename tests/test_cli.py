@@ -539,6 +539,8 @@ _BROKEN_INPUTS = [
     ("bad-value", "fixtures", rb'value="1964-1968"', b'value="1990-13-45"',
      "fixture 'where did bill clinton study': value '1990-13-45': month "
      "must be in 1..12"),
+    ("empty-answer", "fixtures", rb">Georgetown University<", b">  <",
+     "fixture 'where did bill clinton study': answer at rank 1 has no text"),
 ]
 
 #: Per file: its name, its unbroken text and the command that reads it.

@@ -10,7 +10,6 @@ import pytest
 from tqa.corpus import (
     GoldQuestion,
     Testbed,
-    decomposition_to_element,
     format_q_block,
     load_testbed,
     write_testbed,
@@ -139,7 +138,7 @@ def test_round_trip_randomized():
 def test_cli_block_is_loadable(en_pack):
     analysis = decompose("Where did Bill Clinton study before going to "
                          "Oxford University?", en_pack, REF)
-    block = format_q_block(decomposition_to_element(analysis, qid=5))
+    block = format_q_block(analysis)
     doc = f'<TESTBED lang="en" ref="2008-01-01">{block}</TESTBED>'
     (q,) = load_testbed(doc.encode("utf-8")).questions
     assert q.qtype == 4
@@ -150,7 +149,7 @@ def test_cli_block_is_loadable(en_pack):
 def test_bare_q_block_is_schema_violation(en_pack):
     analysis = decompose("Who won the prize 3 years ago when Dean died?",
                          en_pack, date(1990, 1, 1))
-    block = format_q_block(decomposition_to_element(analysis))
+    block = format_q_block(analysis)
     with pytest.raises(SchemaViolation,
                        match="root element 'Q', expected TESTBED"):
         load_testbed(block.encode("utf-8"))
@@ -160,4 +159,4 @@ def test_unsplit_decomposition_is_no_block(en_pack):
     analysis = decompose("What happened just before?", en_pack, REF)
     assert analysis.qtype == 4 and analysis.q_focus is None
     with pytest.raises(SchemaViolation):
-        decomposition_to_element(analysis)
+        format_q_block(analysis)

@@ -479,6 +479,23 @@ def test_tensed_detection_guards(en_pack, es_pack):
     assert not es_pack.is_tensed("día")
 
 
+def test_verb_lookups_casefold(en_pack):
+    # every key is its own casefold, so a lookup reads "ß" in a token as "ss"
+    old = b'<ENTRY kind="form" key="began" value="begin" />'
+    doc = serialize_pack(en_pack)
+    assert doc.count(old) == 1
+    pack = load_pack(doc.replace(old, old + (
+        '<ENTRY kind="lemma" key="grüssen" />'
+        '<ENTRY kind="form" key="grüsste" value="grüssen" />').encode()))
+    assert pack.is_verbish("grüßen")
+    assert pack.is_tensed("grüßte")
+    assert pack.rewrite_verb("grüßte") == "grüssen"
+    # the proper-noun guard compares a word with its lower case, which
+    # keeps "ß", not with its casefold
+    assert pack.is_tensed("straßed") and not pack.is_tensed("Straßed")
+    assert pack.is_gerund("straßing") and not pack.is_gerund("Straßing")
+
+
 def test_number_parsing(en_pack, es_pack):
     assert en_pack.parse_number("16") == 16
     assert en_pack.parse_number("five") == 5
