@@ -79,18 +79,17 @@ def detect_signal(question: str, tes: list[TemporalExpressionTag],
     """
     first_word = _first_word_start(question)
     candidates = []
-    for order, regex in enumerate(pack.compiled.signals):
-        for m in regex.finditer(question):
-            if m.start() == first_word:
+    for start, end, order in pack.compiled.signal_scanner.matches(question):
+        if start == first_word:
+            continue
+        if any(t.begin <= start and end <= t.end for t in tes):
+            continue
+        following = [t for t in tes if t.begin >= end]
+        if following:
+            nearest = min(following, key=lambda t: t.begin)
+            if _gap_is_determiners(question[end:nearest.begin], pack):
                 continue
-            if any(t.begin <= m.start() and m.end() <= t.end for t in tes):
-                continue
-            following = [t for t in tes if t.begin >= m.end()]
-            if following:
-                nearest = min(following, key=lambda t: t.begin)
-                if _gap_is_determiners(question[m.end():nearest.begin], pack):
-                    continue
-            candidates.append((m.start(), -m.end(), order))
+        candidates.append((start, -end, order))
     if not candidates:
         return None
     start, neg_end, order = min(candidates)

@@ -86,6 +86,23 @@ _ELEMENTS = {
 #: The name starts with a letter, so ``\d{1,4}`` is no placeholder.
 _PLACEHOLDER = re.compile(r"\{([A-Za-z]\w*)\}")
 
+#: What in a pattern opens, closes, names or numbers a group, or hides such
+#: syntax: a group number (an escape's digits, unless an octal escape), an
+#: escape, a character class or a comment, a conditional on a group number,
+#: global inline flags, a group name or a reference to one, a parenthesis,
+#: and a bracket or backslash that no class or escape takes.  A class's
+#: leading ``^`` and ``]`` are its own, as ``re`` reads them.
+_GROUP_SYNTAX = re.compile(r"""
+    \\(?P<number>(?![0-7]{3})[1-9][0-9]?)
+  | (?P<inert>\\. | \[(?=(?P<head>\^?\]?))(?P=head)(?:\\.|[^\\\]])*\]
+              | \(\?\#[^)]*\))
+  | \(\?\((?P<condition>[0-9]+)\)
+  | (?P<flags>\(\?[aiLmsux]+\))
+  | (?P<lead>\(\?(?:P<|P=|\())(?P<name>[^\W\d]\w*)
+  | [()]
+  | (?P<unclosed>[\[\\])
+""", re.VERBOSE | re.DOTALL)
+
 
 def _compile(pattern: str, what: str) -> re.Pattern:
     """Compile a pack pattern case-insensitively; a pattern that does not
@@ -119,6 +136,82 @@ def _bounded(pattern: str, what: str) -> re.Pattern:
     return regex
 
 
+def _prefixed(pattern: str, prefix: str, what: str) -> str:
+    """The pattern with ``prefix`` before each group name, so that patterns
+    joined in one regex keep their groups apart.  Joined, the groups
+    renumber, global flags would reach every pattern, and a parenthesis the
+    pattern does not open, or a class or escape it does not close, would
+    reach past its end, so each of those raises PackInvalid."""
+    depth = 0
+
+    def rename(m):
+        nonlocal depth
+        number = m["number"] or m["condition"]
+        if number:
+            raise PackInvalid(f"{what}: pattern refers to group {number} by "
+                              "number; name the group")
+        if m["flags"]:
+            raise PackInvalid(f"{what}: pattern sets global flags "
+                              f"{m['flags']}; scope them as (?flags:...)")
+        if m["unclosed"]:
+            # joined, it would take in the patterns that follow
+            raise PackInvalid(f"{what}: pattern does not compile: "
+                              f"{m['unclosed']} is not closed")
+        if m["inert"]:
+            return m.group()
+        depth += m.group().count("(") - m.group().count(")")
+        if depth < 0:
+            raise PackInvalid(f"{what}: pattern closes a group it does not "
+                              "open")
+        return m["lead"] + prefix + m["name"] if m["name"] else m.group()
+
+    return _GROUP_SYNTAX.sub(rename, pattern)
+
+
+class Scanner:
+    """Bounded patterns joined in one regex that visits each position of a
+    text once and tries every pattern there, in pack order.  ``matches``
+    gives what each pattern's own ``_bounded`` regex gives under
+    ``finditer``."""
+
+    def __init__(self, patterns: list[str], whats: list[str]):
+        # at each position an optional lookahead per pattern captures its
+        # match as group _i, and the conditionals fail where none did, so
+        # finditer returns only positions where some pattern matches.  The
+        # one character consumed moves finditer on, where an empty match
+        # would make it try every lookahead again at the same position.  At
+        # the end of a text nothing is consumed, so matching "" tries every
+        # pattern on the empty string.
+        n = len(patterns)
+        source = r"(?<!\w)" + "".join(
+            rf"(?:(?=(?P<_{i}>(?:{_prefixed(pattern, f'_{i}_', what)})"
+            r"(?!\w)))|)"
+            for i, (pattern, what) in enumerate(zip(patterns, whats)))
+        source += "".join(f"(?(_{i})|" for i in range(n)) + "(?!)" + ")" * n
+        try:
+            self.regex = _compile(source + r"(?s:.?)", "joined patterns")
+        except PackInvalid:
+            for pattern, what in zip(patterns, whats):
+                _bounded(pattern, what)  # names the faulty pattern
+            raise
+        self.groups = tuple(self.regex.groupindex[f"_{i}"] for i in range(n))
+        empty = self.regex.match("")
+        for group, what in zip(self.groups, whats):
+            if empty and empty.start(group) == 0:
+                raise PackInvalid(f"{what}: pattern matches the empty string")
+
+    def matches(self, text: str):
+        """(start, end, index) of each pattern's leftmost non-overlapping
+        matches, by start and then pattern index."""
+        ends = [0] * len(self.groups)
+        for hit in self.regex.finditer(text):
+            for index, group in enumerate(self.groups):
+                start, end = hit.span(group)
+                if start >= ends[index]:  # -1: no match here
+                    ends[index] = end
+                    yield start, end, index
+
+
 @dataclass(frozen=True)
 class SignalEntry:
     """One signal lexicon entry: a surface pattern bound to an ordering key."""
@@ -149,13 +242,15 @@ class ClauseTemplate:
 
 class CompiledPack(NamedTuple):
     """A pack's patterns compiled and its rules bound: per rule in order its
-    (regex, normalization function, parsed ARG, name), per signal entry its
-    regex, per clause template in order its (kind, PATTERN regex or None,
-    OUTPUT), and the quantity+unit phrase that may stand right before a
-    signal ("four years")."""
+    (regex, normalization function, parsed ARG, name), one scanner over the
+    rule patterns and one over the signal patterns (a match's index is its
+    rule's or signal entry's), per clause template in order its (kind,
+    PATTERN regex or None, OUTPUT), and the quantity+unit phrase that may
+    stand right before a signal ("four years")."""
 
     rules: tuple
-    signals: tuple[re.Pattern, ...]
+    rule_scanner: Scanner
+    signal_scanner: Scanner
     templates: tuple[tuple[str, re.Pattern | None, str], ...]
     modifier: re.Pattern
 
@@ -193,23 +288,26 @@ class LanguagePack:
         """The one check of what the pack means, on its first use: every
         pattern expanded and compiled, every rule bound (by
         ``tagger.bind_rule``, which holds the op table), every template and
-        needed table checked, raising the first fault as PackInvalid."""
+        needed table checked, raising a fault it finds as PackInvalid."""
         from .tagger import bind_rule
         if not self.te_rules:
             raise PackInvalid("pack has no temporal expression rules")
         if len({rule.name for rule in self.te_rules}) < len(self.te_rules):
             raise PackInvalid("temporal expression rule names are not unique")
-        rules = tuple(bind_rule(rule, self.expand(rule.pattern,
-                                                  f"rule {rule.name!r}"))
-                      for rule in self.te_rules)
+        rules, patterns, whats = [], [], []
+        for rule in self.te_rules:
+            whats.append(f"rule {rule.name!r}")
+            patterns.append(self.expand(rule.pattern, whats[-1]))
+            rules.append(bind_rule(rule, patterns[-1]))
+        rule_scanner = Scanner(patterns, whats)
         missing = CORE_SIGNAL_BASES - {entry.base for entry in self.signals}
         if missing:
             raise PackInvalid(
                 f"signal lexicon misses core bases: {sorted(missing)}")
-        signals = []
-        for entry in self.signals:
-            what = f"signal {entry.base!r}"
-            signals.append(_bounded(self.expand(entry.pattern, what), what))
+        whats = [f"signal {entry.base!r}" for entry in self.signals]
+        signal_scanner = Scanner(
+            [self.expand(entry.pattern, what)
+             for entry, what in zip(self.signals, whats)], whats)
         templates = []
         for template in self.clause_templates:
             kind, what = template.kind, f"{template.kind} clause template"
@@ -235,7 +333,8 @@ class LanguagePack:
         what = "modifier phrase of the number and unit words"
         modifier = _compile(self.expand(
             r"(?P<mod>(?<!\w)(?:\d+|{number})\s+{unit})\s+$", what), what)
-        return CompiledPack(rules, tuple(signals), tuple(templates), modifier)
+        return CompiledPack(tuple(rules), rule_scanner, signal_scanner,
+                            tuple(templates), modifier)
 
     # -- verb lexicon ------------------------------------------------------
 

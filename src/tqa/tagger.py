@@ -254,16 +254,16 @@ def tag(question: str, pack: LanguagePack,
     earlier rule shadows the later one.  Unrecognized temporal language
     yields no tag.
     """
+    compiled = pack.compiled
     candidates = []
-    for index, (regex, op, arg, name) in enumerate(pack.compiled.rules):
-        for m in regex.finditer(question):
-            try:
-                value = op(m, arg, pack, ref)
-            except (MalformedValue, OutOfCalendar):
-                continue  # outside years 1-9999 or the value grammar
-            if value is not None:
-                candidates.append((m.start(), -(m.end() - m.start()), index,
-                                   m.end(), value, name))
+    for start, end, index in compiled.rule_scanner.matches(question):
+        regex, op, arg, name = compiled.rules[index]
+        try:
+            value = op(regex.match(question, start), arg, pack, ref)
+        except (MalformedValue, OutOfCalendar):
+            continue  # outside years 1-9999 or the value grammar
+        if value is not None:
+            candidates.append((start, start - end, index, end, value, name))
     candidates.sort(key=lambda c: c[:3])
     tags, cursor = [], 0
     for start, _neg_len, _index, end, value, rule_name in candidates:

@@ -517,6 +517,9 @@ _BROKEN_INPUTS = [
      "missing attribute PACK/SUFFIX@checked"),
     ("no-during-signal", "pack", rb'<SIGNAL base="during"[^>]*>during</SIGNAL>',
      b"", "signal lexicon misses core bases: ['during']"),
+    ("numbered-group-reference", "pack", rb"<PATTERN>this year</PATTERN>",
+     rb"<PATTERN>this (year)\\1?</PATTERN>",
+     "rule 'this-year': pattern refers to group 1 by number"),
     ("repeated-rule-name", "pack", rb'name="quote-year"', b'name="plain-year"',
      "temporal expression rule names are not unique"),
     ("misspelt-arg-key", "pack", rb'key="direction"', b'key="direciton"',

@@ -210,6 +210,16 @@ def test_leftmost_signal_wins(en_pack):
     assert analysis.signal.surface == "after"
 
 
+def test_earlier_signal_entry_wins_a_shared_surface(es_pack):
+    # "durante" is the surface of "during" and, later in the pack, of "for"
+    assert [s.base for s in es_pack.signals if s.pattern == "durante"] == [
+        "during", "for"]
+    q = "¿Quién gobernó España durante la guerra de Cuba?"
+    reordered = dataclasses.replace(es_pack, signals=es_pack.signals[::-1])
+    for pack, base in ((es_pack, "during"), (reordered, "for")):
+        assert detect_signal(q, tag(q, pack, REF), pack).base == base
+
+
 def test_on_before_expression_yields_other_signal(en_pack):
     q = "Where was the Woodstock Festival held on August 15 when Unix was developed?"
     analysis = decompose(q, en_pack, REF)

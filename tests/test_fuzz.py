@@ -2,10 +2,14 @@
 the documented ValueError for a blank question, and is deterministic.
 Generated packs: a shipped pack with lexicon values and rule ARGs
 rewritten is either rejected with PackInvalid before it tags anything,
-or runs every generated question without raising."""
+or runs every generated question without raising.
+One scan: ``tag`` and ``detect_signal``, which scan a question once for
+all rules and once for all signals, equal the same functions written with
+one ``finditer`` per rule and per signal."""
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from datetime import date
 from xml.etree import ElementTree as ET
@@ -15,10 +19,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tqa.backend import answer_complex_question, shipped_fixtures
-from tqa.decomposition import decompose
-from tqa.errors import PackInvalid
-from tqa.packs import DATA_DIR, get_pack, load_pack
-from tqa.tagger import tag
+from tqa.corpus import shipped_testbed
+from tqa.decomposition import (SignalMatch, _first_word_start,
+                               _gap_is_determiners, decompose, detect_signal)
+from tqa.errors import MalformedValue, OutOfCalendar, PackInvalid
+from tqa.packs import DATA_DIR, TagRule, _bounded, get_pack, load_pack
+from tqa.tagger import TemporalExpressionTag, tag
 
 LANGS = ("en", "es")
 
@@ -180,3 +186,114 @@ def test_blank_question_raises_value_error(lang, question):
     assert tag(question, pack, date(2008, 1, 1)) == []
     with pytest.raises(ValueError, match="question is empty"):
         decompose(question, pack, date(2008, 1, 1))
+
+
+# -- one scan equals a finditer per pattern ----------------------------------
+
+def finditer_tag(question, pack, ref):
+    """``tag`` with each rule's own regex run over the question by
+    ``finditer``."""
+    candidates = []
+    for index, (regex, op, arg, name) in enumerate(pack.compiled.rules):
+        for m in regex.finditer(question):
+            try:
+                value = op(m, arg, pack, ref)
+            except (MalformedValue, OutOfCalendar):
+                continue
+            if value is not None:
+                candidates.append((m.start(), m.start() - m.end(), index,
+                                   m.end(), value, name))
+    candidates.sort(key=lambda c: c[:3])
+    tags, cursor = [], 0
+    for start, _, _, end, value, name in candidates:
+        if start >= cursor:
+            tags.append(TemporalExpressionTag(question[start:end], start, end,
+                                              value, name))
+            cursor = end
+    return tags
+
+
+def signal_regexes(pack):
+    return [_bounded(pack.expand(entry.pattern), "") for entry in pack.signals]
+
+
+def finditer_signal(question, tes, pack):
+    """``detect_signal`` with each signal's own regex run over the question
+    by ``finditer``."""
+    first_word = _first_word_start(question)
+    candidates = []
+    for order, regex in enumerate(signal_regexes(pack)):
+        for m in regex.finditer(question):
+            if m.start() == first_word:
+                continue
+            if any(t.begin <= m.start() and m.end() <= t.end for t in tes):
+                continue
+            following = [t for t in tes if t.begin >= m.end()]
+            if following:
+                nearest = min(following, key=lambda t: t.begin)
+                if _gap_is_determiners(question[m.end():nearest.begin], pack):
+                    continue
+            candidates.append((m.start(), -m.end(), order))
+    if not candidates:
+        return None
+    start, neg_end, order = min(candidates)
+    entry = pack.signals[order]
+    modifier = pack.compiled.modifier.search(question, 0, start)
+    begin = modifier.start("mod") if modifier else start
+    return SignalMatch(question[begin:-neg_end], begin, -neg_end, entry.base,
+                       entry.relation, modifier and modifier.group("mod"))
+
+
+def assert_one_scan_equals_finditer(pack, question, ref):
+    compiled = pack.compiled
+    for scanner, regexes in (
+            (compiled.rule_scanner, [rule[0] for rule in compiled.rules]),
+            (compiled.signal_scanner, signal_regexes(pack))):
+        matches = [(m.start(), m.end(), index)
+                   for index, regex in enumerate(regexes)
+                   for m in regex.finditer(question)]
+        assert list(scanner.matches(question)) == sorted(
+            matches, key=lambda m: (m[0], m[2]))
+    tes = tag(question, pack, ref)
+    assert tes == finditer_tag(question, pack, ref)
+    assert detect_signal(question, tes, pack) == \
+        finditer_signal(question, tes, pack)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(questions(), refs)
+def test_one_scan_equals_finditer_per_pattern(lq, ref):
+    lang, question = lq
+    assert_one_scan_equals_finditer(PACKS[lang], question, ref)
+
+
+@pytest.mark.parametrize("lang", LANGS)
+def test_one_scan_equals_finditer_per_pattern_on_the_testbed(lang):
+    testbed = shipped_testbed(lang)
+    for q in testbed.questions:
+        assert_one_scan_equals_finditer(PACKS[lang], q.question, testbed.ref)
+
+
+#: The English pack with a first rule that refers to its groups by name: a
+#: year in a pair of like quotes, or bare.
+QUOTED = dataclasses.replace(PACKS["en"], te_rules=(TagRule(
+    "quoted-year", "year", r"""(?P<q>["'])?(?P<y>[12]\d{3})(?(q)(?P=q))"""),
+    *PACKS["en"].te_rules))
+QUOTED_YEARS = ("'1990'", '"1991"', "'1992\"", "\"1993'", "1994", "'95")
+
+
+def test_rule_refers_to_its_groups_by_name_in_the_scanner():
+    tags = tag("""Who won in '1990', "1991" or '1992"?""", QUOTED,
+               date(2008, 1, 1))
+    assert [(t.surface, t.rule, t.value.canonical) for t in tags] == [
+        ("'1990'", "quoted-year", "1990"), ('"1991"', "quoted-year", "1991"),
+        ("1992", "quoted-year", "1992")]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(texts("en") | st.sampled_from(QUOTED_YEARS), max_size=4)
+       .map(" ".join), refs)
+def test_one_scan_equals_finditer_with_named_references(question, ref):
+    assert_one_scan_equals_finditer(QUOTED, question, ref)

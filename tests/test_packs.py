@@ -94,7 +94,8 @@ def test_loading_compiles_nothing_and_first_tag_compiles_all(monkeypatch,
     pack = get_pack(code)
     assert patterns == [] and "compiled" not in vars(pack)
     aux = [t for t in pack.clause_templates if t.kind == "aux"]
-    every = len(pack.te_rules) + len(pack.signals) + len(aux) + 1  # modifier
+    # each rule, the rule and signal scanners, each aux template, modifier
+    every = len(pack.te_rules) + 2 + len(aux) + 1
     tag("in 1990?", pack, REF)
     assert "compiled" in vars(pack) and len(patterns) == every
     decompose("Who won after the war in 1990?", pack, REF)
@@ -135,6 +136,55 @@ def test_pattern_that_does_not_compile_is_invalid(en_pack, old, new, named):
     pack = load_pack(doc.replace(old, new))  # loading compiles no pattern
     with pytest.raises(PackInvalid, match=re.escape(named)):
         pack.compiled
+
+
+_THIS_YEAR = b"<PATTERN>this year</PATTERN>"
+_AFTER = b'relation="AFTER">after</SIGNAL>'
+
+
+@pytest.mark.parametrize("old, new, fault", [
+    (_THIS_YEAR, rb"<PATTERN>this (year)\1?</PATTERN>",
+     "rule 'this-year': pattern refers to group 1 by number"),
+    (_THIS_YEAR, b"<PATTERN>(this )?year(?(1)|s)</PATTERN>",
+     "rule 'this-year': pattern refers to group 1 by number"),
+    (_AFTER, rb'relation="AFTER">(af)ter\1?</SIGNAL>',
+     "signal 'after': pattern refers to group 1 by number"),
+    (_AFTER, b'relation="AFTER">(a)?fter(?(1)|x)</SIGNAL>',
+     "signal 'after': pattern refers to group 1 by number"),
+    (_AFTER, rb'relation="AFTER">(af)(t)er\12?</SIGNAL>',
+     "signal 'after': pattern refers to group 12 by number"),
+    (_AFTER, b'relation="AFTER">(?x)after</SIGNAL>',
+     "signal 'after': pattern sets global flags (?x)"),
+    (_AFTER, b'relation="AFTER">after)|(?:afterwards</SIGNAL>',
+     "signal 'after': pattern closes a group it does not open"),
+    # re reads a class's leading ] as a member: this class never closes
+    (_AFTER, b'relation="AFTER">after[]x</SIGNAL>',
+     "signal 'after': pattern does not compile: [ is not closed"),
+    (_AFTER, b'relation="AFTER">after\\</SIGNAL>',
+     "signal 'after': pattern does not compile: \\ is not closed"),
+], ids=["rule-backref", "rule-conditional", "signal-backref",
+        "signal-conditional", "two-digits", "global-flags", "closes-group",
+        "unclosed-class", "trailing-backslash"])
+def test_pattern_that_cannot_join_a_scanner_is_invalid(en_pack, old, new,
+                                                       fault):
+    # the scanner joins all rule or all signal patterns in one regex
+    doc = serialize_pack(en_pack)
+    assert doc.count(old) == 1
+    pack = load_pack(doc.replace(old, new))
+    with pytest.raises(PackInvalid, match=re.escape(fault)):
+        pack.compiled
+
+
+@pytest.mark.parametrize("pattern", [rb"after(?:\\1)?", rb"after[\1]?",
+                                     rb"af\164er"],
+                         ids=["escaped-backslash", "class", "octal"])
+def test_group_reference_lookalike_is_valid(en_pack, pattern):
+    doc = serialize_pack(en_pack).replace(_AFTER,
+                                          b'relation="AFTER">%s</SIGNAL>'
+                                          % pattern)
+    pack = load_pack(doc)
+    q = "Who won the race after the war?"
+    assert decompose(q, pack, REF).signal.surface == "after"
 
 
 @pytest.mark.parametrize("old, new, named", [
@@ -250,6 +300,9 @@ def test_no_shipped_pattern_restates_a_lexicon_table(code):
      "signal 'after'"),
     (b"<PATTERN>this year</PATTERN>", b"<PATTERN>(?:this year)?</PATTERN>",
      "rule 'this-year'"),
+    (_AFTER, b'relation="AFTER">(?:after)?</SIGNAL>', "signal 'after'"),
+    # on "" it matches empty, on " " it matches the space
+    (_AFTER, rb'relation="AFTER">after|\s?</SIGNAL>', "signal 'after'"),
 ])
 def test_pattern_that_matches_the_empty_string_is_invalid(en_pack, old, new,
                                                           named):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from datetime import date
 
 import pytest
 
 from tqa.errors import OutOfCalendar
+from tqa.packs import TagRule
 from tqa.tagger import resolve_relative, tag
 
 from conftest import REF
@@ -94,6 +96,36 @@ def test_span_integrity_and_order(en_pack, es_pack, testbed_en, testbed_es):
                 assert gold.question[t.begin:t.end] == t.surface
                 assert t.begin >= last_end
                 last_end = t.end
+
+
+def test_longest_match_wins_a_shared_start(en_pack):
+    # plain-year, listed first, matches "1990"; year-pair the longer span
+    rules = {rule.name: rule for rule in en_pack.te_rules}
+    pack = dataclasses.replace(en_pack, te_rules=(rules["plain-year"],
+                                                  rules["year-pair"]))
+    assert [(t.surface, t.rule) for t in tag("Who won in 1990-1995?", pack,
+                                              REF)] == [("1990-1995",
+                                                         "year-pair")]
+
+
+def test_earlier_rule_shadows_a_later_one_at_an_identical_span(en_pack):
+    first, second = (TagRule(name, "literal", "the millennium",
+                             (("value", value),))
+                     for name, value in (("first", "2000"), ("second", "1000")))
+    for rules in ((first, second), (second, first)):
+        pack = dataclasses.replace(en_pack, te_rules=rules)
+        tags = tag("Who won the millennium prize?", pack, REF)
+        assert [(t.rule, t.value.canonical) for t in tags] == [
+            (rules[0].name, dict(rules[0].args)["value"])]
+
+
+def test_a_match_its_op_rejects_hides_its_rules_matches_inside_it(en_pack):
+    # "zzz 1990" is the rule's leftmost match and no year, so the rule never
+    # matches the "1990" inside it, as its own finditer would not
+    rule = TagRule("word-and-year", "year", r"(?P<y>(?:[a-z]+\s+)?\d{4})")
+    pack = dataclasses.replace(en_pack, te_rules=(rule,))
+    assert tag("Who won zzz 1990?", pack, REF) == []
+    assert [t.surface for t in tag("1990: who won?", pack, REF)] == ["1990"]
 
 
 def test_determinism(en_pack):
