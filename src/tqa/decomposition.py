@@ -119,8 +119,10 @@ def _strip_question_mark(text: str) -> str:
 
 
 def _squeeze(text: str) -> str:
-    text = re.sub(r"\s+", " ", text).strip()
-    return re.sub(r"\s+([?,.])", r"\1", text)
+    """``text`` with each whitespace run one space, and none at either end
+    or before ``?``, ``,`` or ``.``."""
+    text = " ".join(text.split())
+    return text.replace(" ?", "?").replace(" ,", ",").replace(" .", ".")
 
 
 def _render(output: str, groups: dict[str, str], pack: LanguagePack) -> str:

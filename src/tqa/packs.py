@@ -23,6 +23,14 @@ from xml.etree import ElementTree as ET
 from .errors import PackInvalid, read_xml, write_xml
 from .time_model import Relation
 
+try:  # the parser behind re.compile, private and renamed in Python 3.11
+    from re import _parser as _sre_parse
+except ImportError:
+    try:
+        import sre_parse as _sre_parse
+    except ImportError:
+        _sre_parse = None
+
 #: The package's data directory: built-in packs (<code>.xml), testbeds and
 #: fixtures.
 DATA_DIR = Path(__file__).parent / "data"
@@ -104,11 +112,20 @@ _GROUP_SYNTAX = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
+#: The flags every pack pattern compiles under.
+_FLAGS = re.IGNORECASE | re.UNICODE
+
+#: The class escape of each category the first-character walk reads.
+_CATEGORIES = {"CATEGORY_DIGIT": r"\d", "CATEGORY_NOT_DIGIT": r"\D",
+               "CATEGORY_SPACE": r"\s", "CATEGORY_NOT_SPACE": r"\S",
+               "CATEGORY_WORD": r"\w", "CATEGORY_NOT_WORD": r"\W"}
+
+
 def _compile(pattern: str, what: str) -> re.Pattern:
     """Compile a pack pattern case-insensitively; a pattern that does not
     compile raises PackInvalid naming ``what`` it belongs to."""
     try:
-        return re.compile(pattern, re.IGNORECASE | re.UNICODE)
+        return re.compile(pattern, _FLAGS)
     except re.error as exc:
         raise PackInvalid(f"{what}: pattern does not compile: {exc}") from None
 
@@ -168,25 +185,87 @@ def _prefixed(pattern: str, prefix: str, what: str) -> str:
     return _GROUP_SYNTAX.sub(rename, pattern)
 
 
+def _starts(items: list[str], parsed) -> bool:
+    """Add to ``items`` the class items that a match of the ``parsed``
+    pattern can start with; True when the match can be empty, so that what
+    follows it can start the match too.  What the walk cannot read (``.``,
+    a negated class, a group reference, a scoped flag) raises
+    LookupError."""
+    p = _sre_parse
+    for op, av in parsed:
+        if op is p.LITERAL:
+            items.append(re.escape(chr(av)))
+            return False
+        if op is p.IN:
+            for kind, item in av:
+                if kind is p.LITERAL:
+                    items.append(re.escape(chr(item)))
+                elif kind is p.RANGE:
+                    items.append("-".join(re.escape(chr(c)) for c in item))
+                elif kind is p.CATEGORY:
+                    items.append(_CATEGORIES[item.name])
+                else:
+                    raise LookupError(kind)
+            return False
+        if op is p.SUBPATTERN:
+            _, add_flags, del_flags, sub = av
+            if add_flags or del_flags:
+                raise LookupError("scoped flags")
+            if not _starts(items, sub):
+                return False
+        elif op is p.BRANCH:  # a list, so that every branch adds its items
+            if not any([_starts(items, branch) for branch in av[1]]):
+                return False
+        elif op in (p.MAX_REPEAT, p.MIN_REPEAT):
+            least, _, sub = av
+            if not _starts(items, sub) and least:
+                return False
+        elif op not in (p.ASSERT, p.ASSERT_NOT, p.AT):
+            raise LookupError(op)
+    return True
+
+
+def _guard(pattern: str) -> str:
+    """A lookahead that admits each character a match of ``pattern`` can
+    start with, and maybe more, written as class items under the pattern's
+    own flags, so that ``[s]`` admits ``ſ`` as the literal ``s`` does; ""
+    where the pattern can match the empty string, its start cannot be read,
+    or the parser cannot be imported."""
+    if _sre_parse is None:
+        return ""
+    items = []
+    try:
+        if _starts(items, _sre_parse.parse(pattern, _FLAGS)):
+            return ""
+    except (LookupError, re.error, OverflowError):
+        return ""
+    return f"(?=[{''.join(dict.fromkeys(items))}])"
+
+
 class Scanner:
     """Bounded patterns joined in one regex that visits each position of a
-    text once and tries every pattern there, in pack order.  ``matches``
-    gives what each pattern's own ``_bounded`` regex gives under
-    ``finditer``."""
+    text once and tries there, in pack order, each pattern whose guard
+    admits the position's character: one that can begin a match of the
+    pattern.  A pattern whose start cannot be read has no guard and is
+    tried everywhere.  ``matches`` gives what each pattern's own
+    ``_bounded`` regex gives under ``finditer``."""
 
     def __init__(self, patterns: list[str], whats: list[str]):
-        # at each position an optional lookahead per pattern captures its
-        # match as group _i, and the conditionals fail where none did, so
-        # finditer returns only positions where some pattern matches.  The
-        # one character consumed moves finditer on, where an empty match
-        # would make it try every lookahead again at the same position.  At
-        # the end of a text nothing is consumed, so matching "" tries every
-        # pattern on the empty string.
+        # at each position an optional lookahead per pattern, behind its
+        # guard, captures its match as group _i, and the conditionals fail
+        # where none did, so finditer returns only positions where some
+        # pattern matches.  The one character consumed moves finditer on,
+        # where an empty match would make it try every lookahead again at
+        # the same position.  At the end of a text nothing is consumed, so
+        # matching "" tries every unguarded pattern on the empty string;
+        # a pattern that can match it has no guard.
         n = len(patterns)
+        self.guards = tuple(_guard(pattern) for pattern in patterns)
         source = r"(?<!\w)" + "".join(
-            rf"(?:(?=(?P<_{i}>(?:{_prefixed(pattern, f'_{i}_', what)})"
+            rf"(?:{guard}(?=(?P<_{i}>(?:{_prefixed(pattern, f'_{i}_', what)})"
             r"(?!\w)))|)"
-            for i, (pattern, what) in enumerate(zip(patterns, whats)))
+            for i, (pattern, guard, what)
+            in enumerate(zip(patterns, self.guards, whats)))
         source += "".join(f"(?(_{i})|" for i in range(n)) + "(?!)" + ")" * n
         try:
             self.regex = _compile(source + r"(?s:.?)", "joined patterns")
@@ -244,7 +323,8 @@ class CompiledPack(NamedTuple):
     """A pack's patterns compiled and its rules bound: per rule in order its
     (regex, normalization function, parsed ARG, name), one scanner over the
     rule patterns and one over the signal patterns (a match's index is its
-    rule's or signal entry's), per clause template in order its (kind,
+    rule's or signal entry's; each pattern tried only where its first
+    character can stand), per clause template in order its (kind,
     PATTERN regex or None, OUTPUT), and the quantity+unit phrase that may
     stand right before a signal ("four years")."""
 

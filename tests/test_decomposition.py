@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqa.decomposition import (
+    _squeeze,
     decompose,
     detect_signal,
     identify_type,
@@ -203,6 +205,13 @@ def test_locative_in_splits_no_simple_question(en_pack, es_pack, lang,
     assert analysis.signal is None
 
 
+def test_signal_matches_as_re_folds_case(en_pack):
+    # a long s folds to s under re.IGNORECASE
+    analysis = decompose("Who ruled Spain ſince Franco died?", en_pack, REF)
+    assert (analysis.signal.surface, analysis.signal.base) == ("ſince",
+                                                               "since")
+
+
 def test_leftmost_signal_wins(en_pack):
     q = ("Who was the king of Spain after Charles IV reigned Spain during "
          "the eighteenth century?")
@@ -327,3 +336,19 @@ def test_split_requires_text_on_both_sides(en_pack):
     assert signal is not None
     with pytest.raises(UnsplittableQuestion):
         split(question, signal, [], en_pack)
+
+
+def regex_squeeze(text):
+    """``_squeeze`` as two ``re.sub`` calls."""
+    text = re.sub(r"\s+", " ", text).strip()
+    return re.sub(r"\s+([?,.])", r"\1", text)
+
+
+#: Whitespace to ``\s`` and ``str.split`` alike, ASCII and beyond.
+SPACES = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u2003\u3000"
+
+
+@settings(max_examples=500)
+@given(st.text("?,.ab" + SPACES))
+def test_squeeze_equals_the_regex_form(text):
+    assert _squeeze(text) == regex_squeeze(text)

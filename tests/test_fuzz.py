@@ -5,7 +5,8 @@ rewritten is either rejected with PackInvalid before it tags anything,
 or runs every generated question without raising.
 One scan: ``tag`` and ``detect_signal``, which scan a question once for
 all rules and once for all signals, equal the same functions written with
-one ``finditer`` per rule and per signal."""
+one ``finditer`` per rule and per signal, and each pattern's guard admits
+the first character of each of its matches."""
 
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from tqa.corpus import shipped_testbed
 from tqa.decomposition import (SignalMatch, _first_word_start,
                                _gap_is_determiners, decompose, detect_signal)
 from tqa.errors import MalformedValue, OutOfCalendar, PackInvalid
-from tqa.packs import DATA_DIR, TagRule, _bounded, get_pack, load_pack
+from tqa.packs import (DATA_DIR, TagRule, _bounded, _compile, get_pack,
+                       load_pack)
 from tqa.tagger import TemporalExpressionTag, tag
 
 LANGS = ("en", "es")
@@ -297,3 +299,52 @@ def test_rule_refers_to_its_groups_by_name_in_the_scanner():
        .map(" ".join), refs)
 def test_one_scan_equals_finditer_with_named_references(question, ref):
     assert_one_scan_equals_finditer(QUOTED, question, ref)
+
+
+# -- a guard admits every match --------------------------------------------
+
+#: Characters that fold to an ASCII letter under ``re.IGNORECASE`` (long s,
+#: Kelvin sign, dotless and dotted i), Unicode digits (Arabic-Indic three,
+#: Devanagari five) and a no-break space, each by the ASCII characters it
+#: may stand for.
+ODD = {"s": "\u017f", "S": "\u017f", "k": "\u212a", "K": "\u212a",
+       "i": "\u0131", "I": "\u0130", "3": "\u0663", "5": "\u096b",
+       " ": "\xa0"}
+
+
+@st.composite
+def odd_texts(draw, lang):
+    """A generated question or rule text with some of its characters
+    swapped for the ``ODD`` ones they may stand for, then ``ODD`` text."""
+    text = draw(texts(lang) | st.one_of(list(RULE_TEXTS[lang].values())))
+    swaps = draw(st.lists(st.booleans(), min_size=len(text),
+                          max_size=len(text)))
+    odd = draw(st.text("".join(ODD.values()) + "s k3"))
+    return "".join(ODD.get(ch, ch) if swap else ch
+                   for ch, swap in zip(text, swaps)) + " " + odd
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_guard_admits_the_first_character_of_every_match(data):
+    lang = data.draw(st.sampled_from(LANGS))
+    text = data.draw(odd_texts(lang))
+    compiled = PACKS[lang].compiled
+    for scanner, regexes in (
+            (compiled.rule_scanner, [rule[0] for rule in compiled.rules]),
+            (compiled.signal_scanner, signal_regexes(PACKS[lang]))):
+        for guard, regex in zip(scanner.guards, regexes):
+            admits = _compile(guard, "guard")
+            # the text as drawn, and with every character swapped
+            for variant in (text, text.translate(str.maketrans(ODD))):
+                assert all(admits.match(variant, m.start())
+                           for m in regex.finditer(variant)), guard
+
+
+@pytest.mark.parametrize("lang", LANGS)
+def test_every_shipped_pattern_has_a_guard(lang):
+    # a change to re's private parser that drops the guards fails here
+    compiled = PACKS[lang].compiled
+    for scanner in (compiled.rule_scanner, compiled.signal_scanner):
+        assert "" not in scanner.guards

@@ -20,6 +20,7 @@ from tqa.packs import (
     DATA_DIR,
     TEMPLATE_KINDS,
     SignalEntry,
+    _guard,
     get_pack,
     load_pack,
     serialize_pack,
@@ -173,6 +174,23 @@ def test_pattern_that_cannot_join_a_scanner_is_invalid(en_pack, old, new,
     pack = load_pack(doc.replace(old, new))
     with pytest.raises(PackInvalid, match=re.escape(fault)):
         pack.compiled
+
+
+@pytest.mark.parametrize("pattern, guard", [
+    ("after", "(?=[a])"),
+    (r"(?:the\s+)?'?(?P<d>\d0)s", r"(?=[t'\d])"),
+    (r"(?<!\d)(?=y)\by|[a-c]z|\s*q", r"(?=[ya-c\sq])"),
+    (r"-x|\]|\^", r"(?=[\-\]\^])"),
+    ("(?:x|)?y|z+", "(?=[xyz])"),
+    # tried everywhere: the walk cannot read these starts
+    (".x", ""), ("[^a]x", ""), (r"(?P<q>a)?(?P=q)b", ""), ("(?-i:a)", ""),
+    # tried everywhere: these match the empty string
+    ("a?", ""), ("(?:a|)", ""), ("(?=a)", ""),
+    # tried everywhere: no valid pattern
+    ("a(", ""),
+])
+def test_guard_admits_each_start_or_is_empty(pattern, guard):
+    assert _guard(pattern) == guard
 
 
 @pytest.mark.parametrize("pattern", [rb"after(?:\\1)?", rb"after[\1]?",

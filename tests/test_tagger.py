@@ -40,6 +40,9 @@ from conftest import REF
      "global embargo on trade with Iraq in August 90?", "August 90", "1990-08"),
     # an impossible day drops the month-day reading; the year still tags
     ("What happened on February 30, 1990?", "1990", "1990"),
+    # an Arabic-Indic digit is a \d, a long s matches s as re folds it
+    ("Who won ٣ years ago?", "٣ years ago", "2005"),
+    ("Who won in the ſixties?", "the ſixties", "196"),
 ])
 def test_english_gold_values(en_pack, question, surface, value):
     tags = tag(question, en_pack, REF)
