@@ -79,7 +79,8 @@ def detect_signal(question: str, tes: list[TemporalExpressionTag],
     """
     first_word = _first_word_start(question)
     candidates = []
-    for start, end, order in pack.compiled.signal_scanner.matches(question):
+    for start, end, order, _ in pack.compiled.signal_scanner.matches(
+            question):
         if start == first_word:
             continue
         if any(t.begin <= start and end <= t.end for t in tes):

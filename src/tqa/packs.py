@@ -26,10 +26,7 @@ from .time_model import Relation
 try:  # the parser behind re.compile, private and renamed in Python 3.11
     from re import _parser as _sre_parse
 except ImportError:
-    try:
-        import sre_parse as _sre_parse
-    except ImportError:
-        _sre_parse = None
+    import sre_parse as _sre_parse
 
 #: The package's data directory: built-in packs (<code>.xml), testbeds and
 #: fixtures.
@@ -143,16 +140,6 @@ def _check_output(output: str, pieces: tuple[str, ...], what: str) -> None:
                               f"{transform!r}, not rw")
 
 
-def _bounded(pattern: str, what: str) -> re.Pattern:
-    """Compile a rule or signal pattern with word boundaries; one that
-    matches the empty string would tag or split at a point, so it is
-    invalid."""
-    regex = _compile(rf"(?<!\w)(?:{pattern})(?!\w)", what)
-    if regex.match(""):
-        raise PackInvalid(f"{what}: pattern matches the empty string")
-    return regex
-
-
 def _prefixed(pattern: str, prefix: str, what: str) -> str:
     """The pattern with ``prefix`` before each group name, so that patterns
     joined in one regex keep their groups apart.  Joined, the groups
@@ -229,10 +216,8 @@ def _guard(pattern: str) -> str:
     """A lookahead that admits each character a match of ``pattern`` can
     start with, and maybe more, written as class items under the pattern's
     own flags, so that ``[s]`` admits ``ſ`` as the literal ``s`` does; ""
-    where the pattern can match the empty string, its start cannot be read,
-    or the parser cannot be imported."""
-    if _sre_parse is None:
-        return ""
+    where the pattern can match the empty string or its start cannot be
+    read."""
     items = []
     try:
         if _starts(items, _sre_parse.parse(pattern, _FLAGS)):
@@ -243,12 +228,17 @@ def _guard(pattern: str) -> str:
 
 
 class Scanner:
-    """Bounded patterns joined in one regex that visits each position of a
-    text once and tries there, in pack order, each pattern whose guard
-    admits the position's character: one that can begin a match of the
-    pattern.  A pattern whose start cannot be read has no guard and is
-    tried everywhere.  ``matches`` gives what each pattern's own
-    ``_bounded`` regex gives under ``finditer``."""
+    """Patterns joined in one regex that visits each position of a text
+    once and tries there, in pack order, each pattern whose guard admits
+    the position's character: one that can begin a match of the pattern.
+    A pattern whose start cannot be read has no guard and is tried
+    everywhere.  No word character may stand right before or after a
+    pattern's match, and ``matches`` gives what the pattern so bounded
+    gives alone under ``finditer``; ``named`` holds, per pattern, the
+    (name, group number in the joined regex) of each of its named groups,
+    so that a hit gives the groups of the pattern's own match.  A pattern
+    that does not compile, or that matches the empty string (it would tag
+    or split at a point), raises PackInvalid naming its ``what``."""
 
     def __init__(self, patterns: list[str], whats: list[str]):
         # at each position an optional lookahead per pattern, behind its
@@ -271,24 +261,30 @@ class Scanner:
             self.regex = _compile(source + r"(?s:.?)", "joined patterns")
         except PackInvalid:
             for pattern, what in zip(patterns, whats):
-                _bounded(pattern, what)  # names the faulty pattern
+                _compile(pattern, what)  # names the faulty pattern
             raise
         self.groups = tuple(self.regex.groupindex[f"_{i}"] for i in range(n))
+        self.named = tuple(
+            tuple((name[len(prefix):], number)
+                  for name, number in self.regex.groupindex.items()
+                  if name.startswith(prefix))
+            for prefix in (f"_{i}_" for i in range(n)))
         empty = self.regex.match("")
         for group, what in zip(self.groups, whats):
             if empty and empty.start(group) == 0:
                 raise PackInvalid(f"{what}: pattern matches the empty string")
 
     def matches(self, text: str):
-        """(start, end, index) of each pattern's leftmost non-overlapping
-        matches, by start and then pattern index."""
+        """(start, end, index, hit) of each pattern's leftmost
+        non-overlapping matches, by start and then pattern index; the
+        pattern's named groups are read from ``hit`` by ``named[index]``."""
         ends = [0] * len(self.groups)
         for hit in self.regex.finditer(text):
             for index, group in enumerate(self.groups):
                 start, end = hit.span(group)
                 if start >= ends[index]:  # -1: no match here
                     ends[index] = end
-                    yield start, end, index
+                    yield start, end, index, hit
 
 
 @dataclass(frozen=True)
@@ -321,12 +317,12 @@ class ClauseTemplate:
 
 class CompiledPack(NamedTuple):
     """A pack's patterns compiled and its rules bound: per rule in order its
-    (regex, normalization function, parsed ARG, name), one scanner over the
-    rule patterns and one over the signal patterns (a match's index is its
-    rule's or signal entry's; each pattern tried only where its first
-    character can stand), per clause template in order its (kind,
-    PATTERN regex or None, OUTPUT), and the quantity+unit phrase that may
-    stand right before a signal ("four years")."""
+    (normalization function, parsed ARG, named groups in the rule scanner),
+    one scanner over the rule patterns and one over the signal patterns (a
+    match's index is its rule's or signal entry's; each pattern tried only
+    where its first character can stand), per clause template in order its
+    (kind, PATTERN regex or None, OUTPUT), and the quantity+unit phrase
+    that may stand right before a signal ("four years")."""
 
     rules: tuple
     rule_scanner: Scanner
@@ -374,12 +370,12 @@ class LanguagePack:
             raise PackInvalid("pack has no temporal expression rules")
         if len({rule.name for rule in self.te_rules}) < len(self.te_rules):
             raise PackInvalid("temporal expression rule names are not unique")
-        rules, patterns, whats = [], [], []
-        for rule in self.te_rules:
-            whats.append(f"rule {rule.name!r}")
-            patterns.append(self.expand(rule.pattern, whats[-1]))
-            rules.append(bind_rule(rule, patterns[-1]))
-        rule_scanner = Scanner(patterns, whats)
+        whats = [f"rule {rule.name!r}" for rule in self.te_rules]
+        rule_scanner = Scanner(
+            [self.expand(rule.pattern, what)
+             for rule, what in zip(self.te_rules, whats)], whats)
+        rules = [bind_rule(rule, groups)
+                 for rule, groups in zip(self.te_rules, rule_scanner.named)]
         missing = CORE_SIGNAL_BASES - {entry.base for entry in self.signals}
         if missing:
             raise PackInvalid(

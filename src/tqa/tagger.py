@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import MAXYEAR, date, timedelta
 
 from .errors import MalformedValue, OutOfCalendar, PackInvalid
-from .packs import _UNITS, LanguagePack, TagRule, _bounded
+from .packs import _UNITS, LanguagePack, TagRule
 from .time_model import DayInterval, TimeValue
 
 
@@ -101,25 +101,25 @@ def _year_from_text(text: str, pack: LanguagePack, ref: date) -> int | None:
     return pack.parse_number(text)
 
 
-def _op_literal(m, value, pack, ref):
+def _op_literal(groups, value, pack, ref):
     return value
 
 
-def _op_year(m, arg, pack, ref):
-    year = _year_from_text(m.group("y"), pack, ref)
+def _op_year(groups, arg, pack, ref):
+    year = _year_from_text(groups["y"], pack, ref)
     return None if year is None else TimeValue.of_year(year)
 
 
-def _op_year_range(m, arg, pack, ref):
-    a = _year_from_text(m.group("a"), pack, ref)
-    b = _year_from_text(m.group("b"), pack, ref)
+def _op_year_range(groups, arg, pack, ref):
+    a = _year_from_text(groups["a"], pack, ref)
+    b = _year_from_text(groups["b"], pack, ref)
     if a is None or b is None:
         return None
     return TimeValue.of_range(TimeValue.of_year(a), TimeValue.of_year(b))
 
 
-def _op_decade(m, arg, pack, ref):
-    text = m.group("d").casefold()
+def _op_decade(groups, arg, pack, ref):
+    text = groups["d"].casefold()
     if text.isdecimal():
         if len(text) == 4:
             first = int(text)
@@ -131,7 +131,7 @@ def _op_decade(m, arg, pack, ref):
         return None
     # a decade with no value (years 0-9) has no halves either
     decade = TimeValue.of_decade(first // 10)
-    part = (m.groupdict().get("part") or "").casefold()
+    part = (groups.get("part") or "").casefold()
     if part == "early":
         return TimeValue.of_range(TimeValue.of_year(first),
                                   TimeValue.of_year(first + 4))
@@ -141,18 +141,18 @@ def _op_decade(m, arg, pack, ref):
     return decade
 
 
-def _op_century(m, arg, pack, ref):
-    number = _ordinal_number(m.group("c"), pack)
+def _op_century(groups, arg, pack, ref):
+    number = _ordinal_number(groups["c"], pack)
     # the Nth century spans years (N-1)00 .. (N-1)99
     return None if number is None else TimeValue.of_century(number - 1)
 
 
-def _op_month_number(m, arg, pack, ref):
-    month = pack.lexicon["month"].get(m.group("m").casefold())
-    n = pack.parse_number(m.group("n"))
+def _op_month_number(groups, arg, pack, ref):
+    month = pack.lexicon["month"].get(groups["m"].casefold())
+    n = pack.parse_number(groups["n"])
     if month is None or n is None:
         return None
-    year_text = m.groupdict().get("y")
+    year_text = groups.get("y")
     if year_text:
         year = _year_from_text(year_text, pack, ref)
         if year is None or n > 31:  # "august 90 1990" is no expression
@@ -166,23 +166,23 @@ def _op_month_number(m, arg, pack, ref):
     return TimeValue.of_year_month(year, month)
 
 
-def _op_relative(m, direction, pack, ref):
-    quantity = pack.parse_number(m.group("n"))
-    unit = pack.lexicon["unit"].get(m.group("u").casefold())
+def _op_relative(groups, direction, pack, ref):
+    quantity = pack.parse_number(groups["n"])
+    unit = pack.lexicon["unit"].get(groups["u"].casefold())
     if quantity is None or unit is None:
         return None
     return resolve_relative(quantity, unit, direction, ref)
 
 
-def _op_ref_year(m, arg, pack, ref):
+def _op_ref_year(groups, arg, pack, ref):
     return TimeValue.of_year(ref.year)
 
 
-def _op_ref_date(m, arg, pack, ref):
+def _op_ref_date(groups, arg, pack, ref):
     return TimeValue.of_date(ref.year, ref.month, ref.day)
 
 
-def _op_recent_years(m, years, pack, ref):
+def _op_recent_years(groups, years, pack, ref):
     return TimeValue.of_range(TimeValue.of_year(ref.year - years),
                               TimeValue.of_year(ref.year))
 
@@ -215,18 +215,17 @@ _OPS = {
 }
 
 
-def bind_rule(rule: TagRule, pattern: str):
-    """The rule's compiled ``pattern`` (its own, expanded), normalization
-    function, parsed ARG (None for an op that reads none) and name;
-    PackInvalid when the pattern does not compile or matches the empty
-    string, the op is unknown, the pattern lacks a group the op requires,
-    or an ARG is given twice, not read (``extension`` aside) or outside
-    its domain.  Read through ``LanguagePack.compiled``."""
+def bind_rule(rule: TagRule, groups: tuple[tuple[str, int], ...]):
+    """The rule's normalization function, parsed ARG (None for an op that
+    reads none) and ``groups``, the (name, number) of each named group of
+    its pattern in the rule scanner; PackInvalid when the op is unknown,
+    the pattern lacks a group the op requires, or an ARG is given twice,
+    not read (``extension`` aside) or outside its domain.  Read through
+    ``LanguagePack.compiled``, which compiles the pattern."""
     if rule.op not in _OPS:
         raise PackInvalid(f"rule {rule.name!r}: unknown op {rule.op!r}")
-    op, groups, arg = _OPS[rule.op]
-    regex = _bounded(pattern, f"rule {rule.name!r}")
-    missing = [g for g in groups if g not in regex.groupindex]
+    op, required, arg = _OPS[rule.op]
+    missing = [g for g in required if g not in dict(groups)]
     if missing:
         raise PackInvalid(f"rule {rule.name!r}: op {rule.op!r} requires "
                           f"pattern group(s) {', '.join(missing)}")
@@ -238,10 +237,10 @@ def bind_rule(rule: TagRule, pattern: str):
         if keys.count(key) > 1:
             raise PackInvalid(f"rule {rule.name!r}: ARG {key} is given twice")
     if arg is None:
-        return regex, op, None, rule.name
+        return op, None, groups
     key, default, read = arg
     try:
-        return regex, op, read(dict(rule.args).get(key, default)), rule.name
+        return op, read(dict(rule.args).get(key, default)), groups
     except (ValueError, MalformedValue) as exc:
         raise PackInvalid(f"rule {rule.name!r}: ARG {key}: {exc}") from None
 
@@ -256,21 +255,22 @@ def tag(question: str, pack: LanguagePack,
     """
     compiled = pack.compiled
     candidates = []
-    for start, end, index in compiled.rule_scanner.matches(question):
-        regex, op, arg, name = compiled.rules[index]
+    for start, end, index, hit in compiled.rule_scanner.matches(question):
+        op, arg, groups = compiled.rules[index]
         try:
-            value = op(regex.match(question, start), arg, pack, ref)
+            value = op({name: hit[number] for name, number in groups}, arg,
+                       pack, ref)
         except (MalformedValue, OutOfCalendar):
             continue  # outside years 1-9999 or the value grammar
         if value is not None:
-            candidates.append((start, start - end, index, end, value, name))
+            candidates.append((start, start - end, index, end, value))
     candidates.sort(key=lambda c: c[:3])
     tags, cursor = [], 0
-    for start, _neg_len, _index, end, value, rule_name in candidates:
+    for start, _neg_len, index, end, value in candidates:
         if start < cursor:
             continue
         tags.append(TemporalExpressionTag(
             surface=question[start:end], begin=start, end=end,
-            value=value, rule=rule_name))
+            value=value, rule=pack.te_rules[index].name))
         cursor = end
     return tags

@@ -293,10 +293,12 @@ _TYPE4 = "Where did Bill Clinton study before going to Oxford University?"
 
 
 @pytest.mark.parametrize("old,new,name", [
+    (b"<PATTERN>this year</PATTERN>", b"<PATTERN>this (year</PATTERN>",
+     "rule 'this-year'"),
     (b'relation="AFTER">after</SIGNAL>', b'relation="AFTER">after (</SIGNAL>',
      "signal 'after'"),
     (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;(was", "aux clause template"),
-], ids=["signal", "aux-template"])
+], ids=["rule", "signal", "aux-template"])
 def test_broken_pack_fails_every_command_alike(capsys, tmp_path, old, new,
                                                name):
     # the first use of a pack compiles all of it, whatever the question

@@ -5,8 +5,9 @@ rewritten is either rejected with PackInvalid before it tags anything,
 or runs every generated question without raising.
 One scan: ``tag`` and ``detect_signal``, which scan a question once for
 all rules and once for all signals, equal the same functions written with
-one ``finditer`` per rule and per signal, and each pattern's guard admits
-the first character of each of its matches."""
+one ``finditer`` per rule and per signal, each op gets the groups its
+rule's own regex gives, and each pattern's guard admits the first
+character of each of its matches."""
 
 from __future__ import annotations
 
@@ -24,8 +25,7 @@ from tqa.corpus import shipped_testbed
 from tqa.decomposition import (SignalMatch, _first_word_start,
                                _gap_is_determiners, decompose, detect_signal)
 from tqa.errors import MalformedValue, OutOfCalendar, PackInvalid
-from tqa.packs import (DATA_DIR, TagRule, _bounded, _compile, get_pack,
-                       load_pack)
+from tqa.packs import DATA_DIR, TagRule, _compile, get_pack, load_pack
 from tqa.tagger import TemporalExpressionTag, tag
 
 LANGS = ("en", "es")
@@ -192,19 +192,34 @@ def test_blank_question_raises_value_error(lang, question):
 
 # -- one scan equals a finditer per pattern ----------------------------------
 
+def bounded(pattern):
+    """A pattern's own regex, bounded by word edges as the scanner bounds
+    it."""
+    return re.compile(rf"(?<!\w)(?:{pattern})(?!\w)", re.IGNORECASE)
+
+
+def rule_regexes(pack):
+    return [bounded(pack.expand(rule.pattern)) for rule in pack.te_rules]
+
+
+def signal_regexes(pack):
+    return [bounded(pack.expand(entry.pattern)) for entry in pack.signals]
+
+
 def finditer_tag(question, pack, ref):
     """``tag`` with each rule's own regex run over the question by
     ``finditer``."""
     candidates = []
-    for index, (regex, op, arg, name) in enumerate(pack.compiled.rules):
+    for index, (regex, (op, arg, _), rule) in enumerate(zip(
+            rule_regexes(pack), pack.compiled.rules, pack.te_rules)):
         for m in regex.finditer(question):
             try:
-                value = op(m, arg, pack, ref)
+                value = op(m.groupdict(), arg, pack, ref)
             except (MalformedValue, OutOfCalendar):
                 continue
             if value is not None:
                 candidates.append((m.start(), m.start() - m.end(), index,
-                                   m.end(), value, name))
+                                   m.end(), value, rule.name))
     candidates.sort(key=lambda c: c[:3])
     tags, cursor = [], 0
     for start, _, _, end, value, name in candidates:
@@ -213,10 +228,6 @@ def finditer_tag(question, pack, ref):
                                               value, name))
             cursor = end
     return tags
-
-
-def signal_regexes(pack):
-    return [_bounded(pack.expand(entry.pattern), "") for entry in pack.signals]
 
 
 def finditer_signal(question, tes, pack):
@@ -246,16 +257,31 @@ def finditer_signal(question, tes, pack):
                        entry.relation, modifier and modifier.group("mod"))
 
 
+def assert_ops_get_their_rules_groups(pack, question, ref):
+    """Each op ``tag`` runs, in scan order, gets the named groups that its
+    rule's own regex gives at the hit's start."""
+    compiled, given = pack.compiled, []
+    spy = dataclasses.replace(pack)  # each op only records what it gets
+    vars(spy)["compiled"] = compiled._replace(rules=tuple(
+        (lambda got, *_, index=index: given.append((index, got)), arg, groups)
+        for index, (_, arg, groups) in enumerate(compiled.rules)))
+    tag(question, spy, ref)
+    regexes = rule_regexes(pack)
+    assert given == [(index, regexes[index].match(question, start).groupdict())
+                     for start, _, index, _ in
+                     compiled.rule_scanner.matches(question)]
+
+
 def assert_one_scan_equals_finditer(pack, question, ref):
     compiled = pack.compiled
-    for scanner, regexes in (
-            (compiled.rule_scanner, [rule[0] for rule in compiled.rules]),
-            (compiled.signal_scanner, signal_regexes(pack))):
+    for scanner, regexes in ((compiled.rule_scanner, rule_regexes(pack)),
+                             (compiled.signal_scanner, signal_regexes(pack))):
         matches = [(m.start(), m.end(), index)
                    for index, regex in enumerate(regexes)
                    for m in regex.finditer(question)]
-        assert list(scanner.matches(question)) == sorted(
+        assert [hit[:3] for hit in scanner.matches(question)] == sorted(
             matches, key=lambda m: (m[0], m[2]))
+    assert_ops_get_their_rules_groups(pack, question, ref)
     tes = tag(question, pack, ref)
     assert tes == finditer_tag(question, pack, ref)
     assert detect_signal(question, tes, pack) == \
@@ -301,6 +327,23 @@ def test_one_scan_equals_finditer_with_named_references(question, ref):
     assert_one_scan_equals_finditer(QUOTED, question, ref)
 
 
+#: The English pack with a first rule whose optional group sets ``part``
+#: on a branch that then fails, so its match holds no ``part``.
+FAILED_PART = dataclasses.replace(PACKS["en"], te_rules=(TagRule(
+    "failed-part", "decade",
+    r"(?:(?P<part>early)\s+x)?(?:early\s+)?(?P<d>\d{4})s"),
+    *PACKS["en"].te_rules))
+
+
+def test_no_group_leaks_from_a_failed_branch():
+    question, ref = "Who won in early 1990s?", date(2008, 1, 1)
+    assert_one_scan_equals_finditer(FAILED_PART, question, ref)
+    # "early" read as set would give the years 1990-1994
+    assert [(t.surface, t.rule, t.value.canonical)
+            for t in tag(question, FAILED_PART, ref)] == [
+        ("early 1990s", "failed-part", "199")]
+
+
 # -- a guard admits every match --------------------------------------------
 
 #: Characters that fold to an ASCII letter under ``re.IGNORECASE`` (long s,
@@ -332,7 +375,7 @@ def test_guard_admits_the_first_character_of_every_match(data):
     text = data.draw(odd_texts(lang))
     compiled = PACKS[lang].compiled
     for scanner, regexes in (
-            (compiled.rule_scanner, [rule[0] for rule in compiled.rules]),
+            (compiled.rule_scanner, rule_regexes(PACKS[lang])),
             (compiled.signal_scanner, signal_regexes(PACKS[lang]))):
         for guard, regex in zip(scanner.guards, regexes):
             admits = _compile(guard, "guard")

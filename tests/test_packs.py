@@ -95,8 +95,8 @@ def test_loading_compiles_nothing_and_first_tag_compiles_all(monkeypatch,
     pack = get_pack(code)
     assert patterns == [] and "compiled" not in vars(pack)
     aux = [t for t in pack.clause_templates if t.kind == "aux"]
-    # each rule, the rule and signal scanners, each aux template, modifier
-    every = len(pack.te_rules) + 2 + len(aux) + 1
+    # the rule and signal scanners, each aux template, the modifier
+    every = 2 + len(aux) + 1
     tag("in 1990?", pack, REF)
     assert "compiled" in vars(pack) and len(patterns) == every
     decompose("Who won after the war in 1990?", pack, REF)
@@ -127,6 +127,10 @@ def test_non_integer_lexicon_value_is_invalid(en_pack):
 @pytest.mark.parametrize("old, new, named", [
     (b"<PATTERN>this year</PATTERN>", b"<PATTERN>this (year</PATTERN>",
      "rule 'this-year'"),
+    # the offset is the pattern's own, not the scanner's
+    (b"<PATTERN>this year</PATTERN>", b"<PATTERN>this year(?#x</PATTERN>",
+     "rule 'this-year': pattern does not compile: missing ), unterminated "
+     "comment at position 9"),
     (b'relation="AFTER">after</SIGNAL>', b'relation="AFTER">after (</SIGNAL>',
      "signal 'after'"),
     (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;(was", "aux clause template"),
