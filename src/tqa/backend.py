@@ -187,6 +187,8 @@ def answer_decomposed(analysis: DecomposedQuestion, language: str,
             BackendQuery(analysis.q_restriction, language))
         result = recompose(focus, restriction, analysis.signal.key,
                            constraints)
-    diagnostics = analysis.diagnostics + result.diagnostics
+    if not analysis.diagnostics:
+        return result
     return ComplexAnswer(result.answers, result.restriction_answer,
-                         result.applied_key, diagnostics)
+                         result.applied_key,
+                         analysis.diagnostics + result.diagnostics)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import date
 
 from .errors import Diagnostic, UnsplittableQuestion
-from .packs import OUTPUT_PIECE, LanguagePack
+from .packs import LanguagePack
 from .tagger import TemporalExpressionTag, tag
 from .time_model import Relation
 
@@ -49,9 +49,12 @@ def _first_word_start(question: str) -> int:
     return 0
 
 
+_WORD = re.compile(r"\w+")
+
+
 def _gap_is_determiners(gap: str, pack: LanguagePack) -> bool:
-    tokens = [t for t in re.split(r"[^\w]+", gap.casefold()) if t]
-    return all(t in pack.lexicon["determiner"] for t in tokens)
+    determiners = pack.lexicon["determiner"]
+    return all(t in determiners for t in _WORD.findall(gap.casefold()))
 
 
 def _tail_start(text: str, end: int) -> int:
@@ -59,13 +62,10 @@ def _tail_start(text: str, end: int) -> int:
     ``text[:end]`` (0 when it has fewer tokens).  A modifier phrase before a
     signal is a number and a unit, neither holding whitespace, so a match
     can only start there or later."""
-    i = end
     for _ in range(2):
-        while i and text[i - 1].isspace():
-            i -= 1
-        while i and not text[i - 1].isspace():
-            i -= 1
-    return i
+        head = text[:end].rstrip()
+        end = len(head) - len(head.rsplit(None, 1)[-1]) if head else 0
+    return end
 
 
 def detect_signal(question: str, tes: list[TemporalExpressionTag],
@@ -126,15 +126,17 @@ def _squeeze(text: str) -> str:
     return text.replace(" ?", "?").replace(" ,", ",").replace(" .", ".")
 
 
-def _render(output: str, groups: dict[str, str], pack: LanguagePack) -> str:
-    def replace(m):
-        name, transform = m.group(1), m.group(2)
-        value = groups.get(name, "")
-        if transform == "rw" and value:
-            return pack.rewrite_verb(value)
-        return value
-
-    return _squeeze(OUTPUT_PIECE.sub(replace, output))
+def _render(runs, groups: dict[str, str], pack: LanguagePack) -> str:
+    """A template OUTPUT, split into runs by the pack, with each piece
+    filled from ``groups`` ("" when missing) and rewritten where marked."""
+    parts = []
+    for literal, name, rewrite in runs:
+        parts.append(literal)
+        if name is not None:
+            value = groups.get(name, "")
+            parts.append(pack.rewrite_verb(value) if rewrite and value
+                         else value)
+    return _squeeze("".join(parts))
 
 
 def _focus_subject(focus: str, pack: LanguagePack) -> str | None:
@@ -158,24 +160,24 @@ def synthesize_when_question(clause: str, pack: LanguagePack,
     """Recast a clause as a "When" question using the pack's templates."""
     clause = _squeeze(_strip_question_mark(clause))
     tokens = clause.split()
-    for kind, regex, output in pack.compiled.templates:
+    for kind, regex, runs in pack.compiled.templates:
         if kind == "gerund":
             if tokens and pack.is_gerund(tokens[0]):
                 subject = _focus_subject(focus, pack)
                 if subject:
-                    return _render(output, {
+                    return _render(runs, {
                         "subject": subject, "verb": tokens[0],
                         "rest": " ".join(tokens[1:]), "clause": clause}, pack)
         elif kind == "clitic":
             if len(tokens) >= 2 \
                     and tokens[0].casefold() in pack.lexicon["clitic"] \
                     and pack.is_tensed(tokens[1]):
-                return _render(output, {
+                return _render(runs, {
                     "clitic": tokens[0].casefold(), "verb": tokens[1],
                     "rest": " ".join(tokens[2:]), "clause": clause}, pack)
         elif kind == "verb_first":
             if tokens and pack.is_tensed(tokens[0]):
-                return _render(output, {
+                return _render(runs, {
                     "verb": tokens[0], "rest": " ".join(tokens[1:]),
                     "clause": clause}, pack)
         elif kind == "aux":
@@ -183,16 +185,16 @@ def synthesize_when_question(clause: str, pack: LanguagePack,
             if m:
                 groups = {k: v or "" for k, v in m.groupdict().items()}
                 groups["clause"] = clause
-                return _render(output, groups, pack)
+                return _render(runs, groups, pack)
         elif kind == "tensed":
             hit = next((i for i, t in enumerate(tokens)
                         if i >= 1 and pack.is_tensed(t)), None)
             if hit is not None:
-                return _render(output, {
+                return _render(runs, {
                     "subj": " ".join(tokens[:hit]), "verb": tokens[hit],
                     "rest": " ".join(tokens[hit + 1:]), "clause": clause}, pack)
         else:  # fallback
-            return _render(output, {"clause": clause}, pack)
+            return _render(runs, {"clause": clause}, pack)
 
 
 def _trim_focus(text: str, pack: LanguagePack) -> str:

@@ -59,6 +59,9 @@ _UNITS = ("day", "month", "year", "decade", "century")
 #: A LEXICON key: words joined by hyphens, safe to splice into a pattern.
 _KEY = re.compile(r"\w+(?:-\w+)*")
 
+#: What separates the number words of a spoken number.
+_NUMBER_GAP = re.compile(r"[\s-]+")
+
 #: LEXICON kinds in file order: (value reader, test of the read value, the
 #: domain it checks), or None for a kind whose entries carry no value.
 _LEXICON = {
@@ -127,9 +130,13 @@ def _compile(pattern: str, what: str) -> re.Pattern:
         raise PackInvalid(f"{what}: pattern does not compile: {exc}") from None
 
 
-def _check_output(output: str, pieces: tuple[str, ...], what: str) -> None:
-    """Each ``{piece}`` of a clause template OUTPUT must be one of the
+def _split_output(output: str, pieces: tuple[str, ...],
+                  what: str) -> tuple[tuple[str, str | None, bool], ...]:
+    """A clause template OUTPUT as runs of (literal text, the piece that
+    follows it or None after the last, whether that piece is rewritten),
+    so that rendering joins them.  Each ``{piece}`` must be one of the
     template's ``pieces``, and its transform, if any, ``rw``."""
+    runs, at = [], 0
     for m in OUTPUT_PIECE.finditer(output):
         name, transform = m.groups()
         if name not in pieces:
@@ -138,6 +145,10 @@ def _check_output(output: str, pieces: tuple[str, ...], what: str) -> None:
         if transform not in (None, "rw"):
             raise PackInvalid(f"{what}: OUTPUT {m.group()} has transform "
                               f"{transform!r}, not rw")
+        runs.append((output[at:m.start()], name, transform == "rw"))
+        at = m.end()
+    runs.append((output[at:], None, False))
+    return tuple(runs)
 
 
 def _prefixed(pattern: str, prefix: str, what: str) -> str:
@@ -212,19 +223,30 @@ def _starts(items: list[str], parsed) -> bool:
     return True
 
 
-def _guard(pattern: str) -> str:
-    """A lookahead that admits each character a match of ``pattern`` can
-    start with, and maybe more, written as class items under the pattern's
-    own flags, so that ``[s]`` admits ``ſ`` as the literal ``s`` does; ""
-    where the pattern can match the empty string or its start cannot be
-    read."""
+def _start_items(pattern: str) -> list[str]:
+    """The class items of each character a match of ``pattern`` can start
+    with, and maybe more, read under the pattern's own flags, so that
+    ``[s]`` admits ``ſ`` as the literal ``s`` does; none where the pattern
+    can match the empty string or its start cannot be read."""
     items = []
     try:
         if _starts(items, _sre_parse.parse(pattern, _FLAGS)):
-            return ""
+            return []
     except (LookupError, re.error, OverflowError):
-        return ""
-    return f"(?=[{''.join(dict.fromkeys(items))}])"
+        return []
+    return items
+
+
+def _lookahead(items: list[str]) -> str:
+    """A lookahead that admits the characters of the class ``items``; ""
+    for no items."""
+    return f"(?=[{''.join(dict.fromkeys(items))}])" if items else ""
+
+
+def _guard(pattern: str) -> str:
+    """A lookahead that admits each character a match of ``pattern`` can
+    start with; "" where the pattern is to be tried everywhere."""
+    return _lookahead(_start_items(pattern))
 
 
 class Scanner:
@@ -232,9 +254,12 @@ class Scanner:
     once and tries there, in pack order, each pattern whose guard admits
     the position's character: one that can begin a match of the pattern.
     A pattern whose start cannot be read has no guard and is tried
-    everywhere.  No word character may stand right before or after a
-    pattern's match, and ``matches`` gives what the pattern so bounded
-    gives alone under ``finditer``; ``named`` holds, per pattern, the
+    everywhere.  When every pattern has a guard, one union guard of their
+    characters comes first, so that a word start where no pattern can
+    begin is passed over with one test.  No word character may stand
+    right before or after a pattern's match, and ``matches`` gives what
+    the pattern so bounded gives alone under ``finditer``; ``named``
+    holds, per pattern, the
     (name, group number in the joined regex) of each of its named groups,
     so that a hit gives the groups of the pattern's own match.  A pattern
     that does not compile, or that matches the empty string (it would tag
@@ -250,8 +275,11 @@ class Scanner:
         # matching "" tries every unguarded pattern on the empty string;
         # a pattern that can match it has no guard.
         n = len(patterns)
-        self.guards = tuple(_guard(pattern) for pattern in patterns)
-        source = r"(?<!\w)" + "".join(
+        starts = [_start_items(pattern) for pattern in patterns]
+        self.guards = tuple(map(_lookahead, starts))
+        union = _lookahead([item for items in starts for item in items]
+                           ) if all(starts) else ""
+        source = r"(?<!\w)" + union + "".join(
             rf"(?:{guard}(?=(?P<_{i}>(?:{_prefixed(pattern, f'_{i}_', what)})"
             r"(?!\w)))|)"
             for i, (pattern, guard, what)
@@ -278,12 +306,12 @@ class Scanner:
         """(start, end, index, hit) of each pattern's leftmost
         non-overlapping matches, by start and then pattern index; the
         pattern's named groups are read from ``hit`` by ``named[index]``."""
-        ends = [0] * len(self.groups)
+        groups = self.groups
+        ends = [0] * len(groups)
         for hit in self.regex.finditer(text):
-            for index, group in enumerate(self.groups):
-                start, end = hit.span(group)
+            for index, start in enumerate(map(hit.start, groups)):
                 if start >= ends[index]:  # -1: no match here
-                    ends[index] = end
+                    ends[index] = end = hit.end(groups[index])
                     yield start, end, index, hit
 
 
@@ -320,14 +348,16 @@ class CompiledPack(NamedTuple):
     (normalization function, parsed ARG, named groups in the rule scanner),
     one scanner over the rule patterns and one over the signal patterns (a
     match's index is its rule's or signal entry's; each pattern tried only
-    where its first character can stand), per clause template in order its
-    (kind, PATTERN regex or None, OUTPUT), and the quantity+unit phrase
-    that may stand right before a signal ("four years")."""
+    where its first character can stand, and a word start where no
+    pattern can begin passed over with one test), per clause template in
+    order its (kind, PATTERN regex or None, OUTPUT split into runs by
+    ``_split_output`` here, at the pack's first use), and the quantity+unit
+    phrase that may stand right before a signal ("four years")."""
 
     rules: tuple
     rule_scanner: Scanner
     signal_scanner: Scanner
-    templates: tuple[tuple[str, re.Pattern | None, str], ...]
+    templates: tuple[tuple[str, re.Pattern | None, tuple], ...]
     modifier: re.Pattern
 
 
@@ -399,16 +429,19 @@ class LanguagePack:
                 raise PackInvalid(f"{what} takes no PATTERN")
             if not template.output.strip():
                 raise PackInvalid(f"{what}: OUTPUT is blank")
-            _check_output(template.output, ("clause",) + pieces, what)
-            templates.append((kind, regex, template.output))
+            templates.append((kind, regex, _split_output(
+                template.output, ("clause",) + pieces, what)))
         if not any(kind == "fallback" for kind, _, _ in templates):
             raise PackInvalid("clause templates lack a fallback entry")
         if not self.lexicon["stopword"]:
             raise PackInvalid("stopword list is empty")
-        # the number a whole word: "Russia years" holds none
+        # the number whole words, not the end of a hyphenated word:
+        # "Russia years" and "well-two years" hold none, "twenty-five
+        # years" holds one
         what = "modifier phrase of the number and unit words"
         modifier = _compile(self.expand(
-            r"(?P<mod>(?<!\w)(?:\d+|{number})\s+{unit})\s+$", what), what)
+            r"(?P<mod>(?<![\w-])(?:\d+|{number}(?:-{number})*)\s+{unit})"
+            r"\s+$", what), what)
         return CompiledPack(tuple(rules), rule_scanner, signal_scanner,
                             tuple(templates), modifier)
 
@@ -457,10 +490,10 @@ class LanguagePack:
         ("mil ochocientos cincuenta y cinco" -> 1855).
         """
         text = text.strip()
-        if re.fullmatch(r"\d+", text):
+        if text.isdecimal():
             return int(text)
         numbers, values = self.lexicon["number"], []
-        for token in re.split(r"[\s-]+", text.casefold()):
+        for token in _NUMBER_GAP.split(text.casefold()):
             if not token or token in self.lexicon["conjunction"]:
                 continue
             if token not in numbers:

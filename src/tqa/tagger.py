@@ -8,7 +8,6 @@ clock is never consulted.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from datetime import MAXYEAR, date, timedelta
 
@@ -87,17 +86,15 @@ def _parse_roman(text: str) -> int | None:
 
 
 def _ordinal_number(text: str, pack: LanguagePack) -> int | None:
-    if re.fullmatch(r"\d{1,2}", text):
+    if len(text) <= 2 and text.isdecimal():  # "" is not decimal
         return int(text)
     number = pack.lexicon["ordinal"].get(text.casefold())
     return _parse_roman(text) if number is None else number
 
 
 def _year_from_text(text: str, pack: LanguagePack, ref: date) -> int | None:
-    if re.fullmatch(r"\d{4}", text):
-        return int(text)
-    if re.fullmatch(r"\d{1,2}", text):
-        return _pivot_year(int(text), ref)
+    if text.isdecimal() and len(text) in (1, 2, 4):
+        return int(text) if len(text) == 4 else _pivot_year(int(text), ref)
     return pack.parse_number(text)
 
 

@@ -13,9 +13,12 @@ Value grammar (all productions, nothing else parses):
 
 Calendar is proleptic Gregorian at day granularity; every anchored value
 maps to the tightest ``DayInterval`` covering the days it denotes.  A
-``TimeValue`` is its canonical string and that interval, both set by
-``_parse`` when the value is made; ``_parse`` holds every production and
-every range check of the grammar.
+``TimeValue`` is its canonical string and that interval.  The grammar is
+one builder per production (year-like, year-month, day, month-day), which
+holds the production's calendar checks and gives both from its numbers:
+``_parse`` reads a value string and calls the builder of the production it
+matches, and each ``TimeValue.of_*`` constructor calls its builder
+directly, so no value is printed only to be read back.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class Relation(enum.Enum):
     WITHIN = "WITHIN"              # F1 and F2 share at least one day
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DayInterval:
     """Inclusive [start, end] span of calendar days."""
 
@@ -60,53 +63,99 @@ _DATE_RE = re.compile(r"(\d{4}|XXXX)-(\d{2})-(\d{2})")
 _YEAR_MONTH_RE = re.compile(r"(\d{4})-(\d{2})")
 _YEARLIKE_RE = re.compile(r"(\d{2,4})(?:-(\d{2,4}))?")
 
+# The grammar's builders, one per production: each takes the production's
+# numbers, holds its calendar checks (a ValueError for numbers outside
+# them) and gives the canonical string and the interval.
+
+
+def _years(n: int, width: int) -> tuple[str, date, date]:
+    """A year, a decade prefix (10 years) or a century prefix (100), of
+    ``width`` 4, 3 or 2 digits: its digits and its first and last day.
+    date() rejects a number below 1 or past ``width`` digits, whose years
+    fall outside 1..9999."""
+    years = 10 ** (4 - width)
+    first, last = date(n * years, 1, 1), date(n * years + years - 1, 12, 31)
+    return f"{n:0{width}d}", first, last
+
+
+def _yearlike(low: tuple[int, int],
+              high: tuple[int, int] | None = None) -> tuple[str, DayInterval]:
+    """The year-like value of one (number, width) bound, or the range from
+    the first day of ``low`` to the last of ``high``; DayInterval rejects a
+    low bound that starts after the high one ends."""
+    text, first, last = _years(*low)
+    if high is not None:
+        high_text, _, last = _years(*high)
+        text = f"{text}-{high_text}"
+    return text, DayInterval(first, last)
+
+
+def _range(low: "TimeValue", high: "TimeValue") -> tuple[str, DayInterval]:
+    """The range from the first day of ``low`` to the last of ``high``,
+    read from their intervals.  It rejects what "[low-high]" is rejected
+    for: a bound that is not year-like, a pair that reads as a calendar
+    month ("1150-12") and a descending pair."""
+    a, b = low.canonical, high.canonical
+    if not (a.isdigit() and b.isdigit()) \
+            or len(a) == 4 and len(b) == 2 and int(b) <= 12:
+        raise ValueError(f"[{a}-{b}] encloses a non-range")
+    return f"{a}-{b}", DayInterval(low.interval.start, high.interval.end)
+
+
+def _year_month(year: int, month: int) -> tuple[str, DayInterval]:
+    if not 1 <= month <= 12:
+        raise ValueError(f"month {month} not in 1..12")
+    leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    last = 28 if month == 2 and not leap else _MAX_DAY[month - 1]
+    return f"{year:04d}-{month:02d}", DayInterval(
+        date(year, month, 1), date(year, month, last))
+
+
+def _day(year: int, month: int, day: int) -> tuple[str, DayInterval]:
+    the_day = date(year, month, day)
+    return the_day.isoformat(), DayInterval(the_day, the_day)
+
+
+def _month_day(month: int, day: int) -> tuple[str, None]:
+    if not (1 <= month <= 12 and 1 <= day <= _MAX_DAY[month - 1]):
+        raise ValueError("no such month and day")
+    return f"XXXX-{month:02d}-{day:02d}", None
+
 
 def _parse(text: str) -> tuple[str, DayInterval | None]:
     """The canonical form of a value string and the tightest day interval
-    covering the days it denotes (None for ``XXXX-MM-DD``).  Digits are
-    read as numbers and printed back in ASCII, and '[A-B]' becomes A-B."""
+    covering the days it denotes (None for ``XXXX-MM-DD``), read by the
+    production's builder.  Digits are read as numbers and printed back in
+    ASCII, and '[A-B]' becomes A-B."""
     if not text:
         raise MalformedValue("empty value string")
     body, bracketed = text.strip(), False
     while body.startswith("[") and body.endswith("]"):
         body, bracketed = body[1:-1].strip(), True
+    # each production is tried only where the ones before it do not match
     day_match = _DATE_RE.fullmatch(body)
-    month_match = _YEAR_MONTH_RE.fullmatch(body)
-    if month_match and not 1 <= int(month_match[2]) <= 12:
-        month_match = None  # "1250-13" is a year-to-century range
-    yearlike = _YEARLIKE_RE.fullmatch(body)
+    month_match = yearlike = None
+    if not day_match:
+        month_match = _YEAR_MONTH_RE.fullmatch(body)
+        if month_match and not 1 <= int(month_match[2]) <= 12:
+            month_match = None  # "1250-13" is a year-to-century range
+        if not month_match:
+            yearlike = _YEARLIKE_RE.fullmatch(body)
     # brackets may enclose only a range of two year-like values
     if bracketed and (month_match or not yearlike or not yearlike[2]):
         raise MalformedValue(f"{text!r}: brackets enclose a non-range")
     try:
         if day_match:
             year, month, day = day_match.groups()
-            month, day = int(month), int(day)
             if year == "XXXX":
-                if not (1 <= month <= 12 and 1 <= day <= _MAX_DAY[month - 1]):
-                    raise ValueError("no such month and day")
-                return f"XXXX-{month:02d}-{day:02d}", None
-            the_day = date(int(year), month, day)
-            return the_day.isoformat(), DayInterval(the_day, the_day)
+                return _month_day(int(month), int(day))
+            return _day(int(year), int(month), int(day))
         if month_match:
-            year, month = int(month_match[1]), int(month_match[2])
-            leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-            last = 28 if month == 2 and not leap else _MAX_DAY[month - 1]
-            return f"{year:04d}-{month:02d}", DayInterval(
-                date(year, month, 1), date(year, month, last))
+            return _year_month(int(month_match[1]), int(month_match[2]))
         if yearlike:
-            # a year, a decade prefix (10 years) or a century prefix (100),
-            # or a range from the first day of one to the last of another;
-            # date() rejects a zero prefix (year 0), and DayInterval a low
-            # bound that starts after the high one ends
-            bounds = []
-            for digits in filter(None, yearlike.groups()):
-                n, width = int(digits), len(digits)
-                years = 10 ** (4 - width)
-                bounds.append((f"{n:0{width}d}", date(n * years, 1, 1),
-                               date(n * years + years - 1, 12, 31)))
-            return "-".join(b[0] for b in bounds), DayInterval(
-                bounds[0][1], bounds[-1][2])
+            low, high = yearlike.groups()
+            return _yearlike((int(low), len(low)),
+                             high and (int(high), len(high)))
     except ValueError as exc:
         raise MalformedValue(f"{text!r}: {exc}") from None
     raise MalformedValue(f"{text!r} matches no value production")
@@ -116,8 +165,10 @@ def _parse(text: str) -> tuple[str, DayInterval | None]:
 class TimeValue:
     """One value of the canonical grammar: its canonical string, and the
     day interval it denotes or None when it has no absolute year.  Both
-    are set from ``_parse`` when the value is made; equality and hash
-    compare the canonical string."""
+    come from the production's builder: ``TimeValue(text)`` reads the
+    text with ``_parse``, and each ``of_*`` constructor calls its
+    builder on the numbers, with no string to read back.  Equality and
+    hash compare the canonical string."""
 
     canonical: str
     interval: DayInterval | None = field(init=False, repr=False,
@@ -129,45 +180,45 @@ class TimeValue:
         object.__setattr__(self, "interval", interval)
 
     @classmethod
+    def _build(cls, builder, *parts) -> "TimeValue":
+        """The value ``builder`` gives for ``parts``; MalformedValue for
+        parts outside its checks."""
+        try:
+            canonical, interval = builder(*parts)
+        except ValueError as exc:
+            raise MalformedValue(str(exc)) from None
+        value = object.__new__(cls)
+        object.__setattr__(value, "canonical", canonical)
+        object.__setattr__(value, "interval", interval)
+        return value
+
+    @classmethod
     def of_year(cls, year: int) -> "TimeValue":
-        return cls(f"{year:04d}")
+        return cls._build(_yearlike, (year, 4))
 
     @classmethod
     def of_decade(cls, prefix: int) -> "TimeValue":
-        # past 999 the prefix would print, and parse, as a year
-        if not 1 <= prefix <= 999:
-            raise MalformedValue(f"decade prefix {prefix} not in 1..999")
-        return cls(f"{prefix:03d}")
+        return cls._build(_yearlike, (prefix, 3))
 
     @classmethod
     def of_century(cls, prefix: int) -> "TimeValue":
-        # past 99 the prefix would print, and parse, as a decade
-        if not 1 <= prefix <= 99:
-            raise MalformedValue(f"century prefix {prefix} not in 1..99")
-        return cls(f"{prefix:02d}")
+        return cls._build(_yearlike, (prefix, 2))
 
     @classmethod
     def of_year_month(cls, year: int, month: int) -> "TimeValue":
-        # past 12 the pair would print, and parse, as a year-to-century
-        # range ("1250-13")
-        if not 1 <= month <= 12:
-            raise MalformedValue(f"month {month} not in 1..12")
-        return cls(f"{year:04d}-{month:02d}")
+        return cls._build(_year_month, year, month)
 
     @classmethod
     def of_date(cls, year: int, month: int, day: int) -> "TimeValue":
-        return cls(f"{year:04d}-{month:02d}-{day:02d}")
+        return cls._build(_day, year, month, day)
 
     @classmethod
     def of_month_day(cls, month: int, day: int) -> "TimeValue":
-        return cls(f"XXXX-{month:02d}-{day:02d}")
+        return cls._build(_month_day, month, day)
 
     @classmethod
     def of_range(cls, low: "TimeValue", high: "TimeValue") -> "TimeValue":
-        # brackets admit only the range production, so bounds that are not
-        # year-like, or a pair that prints as a calendar month ("1150-12"),
-        # are rejected rather than read as another value
-        return cls(f"[{low.canonical}-{high.canonical}]")
+        return cls._build(_range, low, high)
 
 
 def to_interval(v: TimeValue) -> DayInterval:

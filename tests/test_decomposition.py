@@ -10,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqa.decomposition import (
+    _render,
     _squeeze,
+    _tail_start,
     decompose,
     detect_signal,
     identify_type,
     split,
 )
 from tqa.errors import Diagnostic, UnsplittableQuestion
+from tqa.packs import OUTPUT_PIECE
 from tqa.tagger import tag
 from tqa.textnorm import tokenize
 from tqa.time_model import Relation
@@ -96,6 +99,20 @@ def test_offset_number_is_a_whole_word(en_pack, es_pack, lang, question,
     assert analysis.q_focus == focus
 
 
+@pytest.mark.parametrize("question,signal,focus", [
+    ("Who won twenty-five years after the war ended?",
+     "twenty-five years after", "Who won?"),
+    # a number word that ends a hyphenated word starts no modifier
+    ("Who won well-two years after the war ended?", "after",
+     "Who won well-two years?"),
+])
+def test_offset_modifier_is_whole_hyphenated_words(en_pack, question, signal,
+                                                   focus):
+    analysis = decompose(question, en_pack, REF)
+    assert analysis.signal.surface == signal
+    assert analysis.q_focus == focus
+
+
 #: Gaps that both ``\s`` and ``str.split`` read as whitespace.
 SPACES = (" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c")
 
@@ -125,6 +142,51 @@ def test_modifier_search_in_the_last_two_tokens_equals_full_search(
     full = pack.compiled.modifier.search(head)
     assert found.modifier == (full["mod"] if full else None)
     assert found.begin == (full.start("mod") if full else len(head))
+
+
+def loop_tail_start(text, end):
+    """``_tail_start`` as a loop over the characters."""
+    i = end
+    for _ in range(2):
+        while i and text[i - 1].isspace():
+            i -= 1
+        while i and not text[i - 1].isspace():
+            i -= 1
+    return i
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(SPACES) | st.text("ab-7", min_size=1,
+                                                   max_size=3)).map("".join),
+       st.integers(0, 40))
+def test_tail_start_equals_the_character_loop(text, end):
+    end = min(end, len(text))
+    assert _tail_start(text, end) == loop_tail_start(text, end)
+
+
+def sub_render(output, groups, pack):
+    """``_render`` on the unsplit OUTPUT, with one ``OUTPUT_PIECE.sub``."""
+    def replace(m):
+        value = groups.get(m[1], "")
+        return pack.rewrite_verb(value) if m[2] == "rw" and value else value
+
+    return _squeeze(OUTPUT_PIECE.sub(replace, output))
+
+
+@pytest.mark.parametrize("lang", ["en", "es"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_render_of_the_runs_equals_the_output_substituted(en_pack, es_pack,
+                                                         lang, data):
+    pack = {"en": en_pack, "es": es_pack}[lang]
+    words = st.sampled_from(["", "went", "going", "studied", "nació",
+                             "Bill Clinton", " to  Oxford ", "se", "fue"])
+    for template, (_, _, runs) in zip(pack.clause_templates,
+                                      pack.compiled.templates):
+        names = [m[1] for m in OUTPUT_PIECE.finditer(template.output)]
+        groups = data.draw(st.dictionaries(st.sampled_from(names), words))
+        assert _render(runs, groups, pack) == sub_render(template.output,
+                                                         groups, pack)
 
 
 def test_trailing_connective_trimmed_from_focus(en_pack):

@@ -19,6 +19,7 @@ from tqa.packs import (
     CORE_SIGNAL_BASES,
     DATA_DIR,
     TEMPLATE_KINDS,
+    Scanner,
     SignalEntry,
     _guard,
     get_pack,
@@ -195,6 +196,18 @@ def test_pattern_that_cannot_join_a_scanner_is_invalid(en_pack, old, new,
 ])
 def test_guard_admits_each_start_or_is_empty(pattern, guard):
     assert _guard(pattern) == guard
+
+
+@pytest.mark.parametrize("patterns, union, hits", [
+    (["after", r"\d{4}"], r"(?=[a\d])", [(3, 8, 0), (9, 13, 1)]),
+    # one pattern tried everywhere: no position can be passed over
+    (["after", ".x"], "", [(0, 2, 1), (3, 8, 0)]),
+])
+def test_scanner_union_guard_needs_every_pattern_guarded(patterns, union,
+                                                         hits):
+    scanner = Scanner(patterns, patterns)
+    assert scanner.regex.pattern.startswith(rf"(?<!\w){union}(?:")
+    assert [hit[:3] for hit in scanner.matches("ax after 1990")] == hits
 
 
 @pytest.mark.parametrize("pattern", [rb"after(?:\\1)?", rb"after[\1]?",

@@ -225,6 +225,88 @@ def test_replaced_value_gets_its_own_interval(value):
     assert value.interval is parent
 
 
+# -- each constructor builds what its text would read as ------------------
+
+def _made_like(make, text):
+    """``make()`` gives the value ``TimeValue(text)`` reads, in canonical
+    and interval, or both raise MalformedValue (``text`` None: the
+    constructor refuses the numbers before it has a text)."""
+    try:
+        expected = None if text is None else TimeValue(text)
+    except MalformedValue:
+        expected = None
+    if expected is None:
+        with pytest.raises(MalformedValue):
+            make()
+        return
+    got = make()
+    assert (got.canonical, got.interval) == (expected.canonical,
+                                             expected.interval)
+
+
+#: Each ``of_*`` constructor by the text it would print for its numbers,
+#: or None where it refuses them first: the form of the value grammar.
+PRINTED = {
+    TimeValue.of_year: lambda y: f"{y:04d}",
+    TimeValue.of_decade: lambda p: f"{p:03d}" if 1 <= p <= 999 else None,
+    TimeValue.of_century: lambda p: f"{p:02d}" if 1 <= p <= 99 else None,
+    TimeValue.of_year_month:
+        lambda y, m: f"{y:04d}-{m:02d}" if 1 <= m <= 12 else None,
+    TimeValue.of_date: lambda y, m, d: f"{y:04d}-{m:02d}-{d:02d}",
+    TimeValue.of_month_day: lambda m, d: f"XXXX-{m:02d}-{d:02d}",
+}
+
+#: Numbers in and out of every production's domain: year 0, negatives,
+#: five digits, month 13, day 30 in February.
+_NUMBERS = st.one_of(st.integers(-30, 10030),
+                     st.sampled_from([0, -1, 99, 100, 999, 1000, 9999,
+                                      10000, 12, 13, 29, 30, 31, 32]))
+_MONTHS = st.integers(-1, 14)
+_DAYS = st.integers(-1, 33)
+
+
+@pytest.mark.parametrize("make, args", [
+    (TimeValue.of_year, (0,)), (TimeValue.of_year, (10000,)),
+    (TimeValue.of_year, (-5,)), (TimeValue.of_decade, (0,)),
+    (TimeValue.of_decade, (1000,)), (TimeValue.of_century, (100,)),
+    (TimeValue.of_year_month, (1250, 13)), (TimeValue.of_year_month, (0, 5)),
+    (TimeValue.of_date, (2001, 2, 29)), (TimeValue.of_date, (2000, 2, 30)),
+    (TimeValue.of_month_day, (2, 30)), (TimeValue.of_month_day, (2, 29)),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_constructor_at_a_domain_edge_equals_its_text(make, args):
+    _made_like(lambda: make(*args), PRINTED[make](*args))
+
+
+@given(st.data())
+def test_each_constructor_equals_the_text_it_would_print(data):
+    make = data.draw(st.sampled_from(sorted(PRINTED, key=lambda f: f.__name__)))
+    numbers = {TimeValue.of_year_month: (_NUMBERS, _MONTHS),
+               TimeValue.of_date: (_NUMBERS, _MONTHS, _DAYS),
+               TimeValue.of_month_day: (_MONTHS, _DAYS)}.get(make, (_NUMBERS,))
+    args = data.draw(st.tuples(*numbers))
+    _made_like(lambda: make(*args), PRINTED[make](*args))
+
+
+#: Values of every production, and bounds that make every kind of bracket
+#: fault: a year and a century that read as a month, descending pairs.
+_BOUNDS = [TimeValue(text) for text in (
+    "1150", "1990", "0500", "195", "05", "12", "13", "16", "1990-05",
+    "1990-05-12", "XXXX-05-12", "1939-1975", "05-12")]
+
+
+@pytest.mark.parametrize("low", _BOUNDS, ids=lambda v: v.canonical)
+@pytest.mark.parametrize("high", _BOUNDS, ids=lambda v: v.canonical)
+def test_range_equals_its_bracketed_text(low, high):
+    _made_like(lambda: TimeValue.of_range(low, high),
+               f"[{low.canonical}-{high.canonical}]")
+
+
+@given(_value_strategy(), _value_strategy())
+def test_range_of_any_values_equals_its_bracketed_text(low, high):
+    _made_like(lambda: TimeValue.of_range(low, high),
+               f"[{low.canonical}-{high.canonical}]")
+
+
 def _window_intervals(base=date(2000, 1, 1), days=10):
     out = []
     for s in range(days):
