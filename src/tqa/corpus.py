@@ -28,6 +28,7 @@ from xml.etree import ElementTree as ET
 from .decomposition import DecomposedQuestion
 from .errors import MalformedValue, SchemaViolation, read_xml, write_xml
 from .packs import DATA_DIR
+from .textnorm import tokenize
 from .time_model import TimeValue
 
 
@@ -64,6 +65,8 @@ class GoldQuestion:
                     f"Q{self.id}: type {self.qtype} requires a TE")
         elif self.tes:
             raise SchemaViolation(f"Q{self.id}: type {self.qtype} takes no TE")
+        if self.answer is not None and not tokenize(self.answer):
+            raise SchemaViolation(f"Q{self.id}: ANSWER has no word")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from xml.etree import ElementTree as ET
 from .backend import FixtureStore, answer_decomposed, check_language
 from .corpus import GoldQuestion, Testbed
 from .decomposition import DecomposedQuestion, decompose
-from .errors import EmptyPopulation, write_xml
+from .errors import EmptyPopulation, SchemaViolation, write_xml
 from .packs import LanguagePack
 from .tagger import TemporalExpressionTag
 from .textnorm import normalize_key, tokenize
@@ -78,6 +78,16 @@ class MetricsRow:
     rec: float
     f: float
     mrr: float | None = None
+
+
+#: Every valid judgment, built once: ``_JUDGED[i][state]`` judges the i-th
+#: aspect in Aspect order; state 0 is not applicable, any other state is
+#: 1 + acted + correct.
+_JUDGED = tuple(tuple(AspectJudgment(aspect, state > 0, state > 1, state > 2)
+                      for state in range(4)) for aspect in Aspect)
+#: Per question type, whether each aspect in Aspect order is judged.
+_APPLICABLE = {qtype: tuple(aspect in aspects for aspect in Aspect)
+               for qtype, aspects in APPLICABILITY.items()}
 
 
 def metrics(c: Counts, ranks=None) -> MetricsRow:
@@ -149,34 +159,29 @@ def _split_matches(pairs, pack: LanguagePack) -> bool:
 
 def judge_decomposition(system: DecomposedQuestion, gold: GoldQuestion,
                         pack: LanguagePack) -> list[AspectJudgment]:
-    """Judge every aspect applicable for the gold question's type."""
-    judgments = []
-    for aspect in (Aspect.TE, Aspect.TYPE, Aspect.SIGNAL, Aspect.SPLIT):
-        if aspect not in APPLICABILITY[gold.qtype]:
-            judgments.append(AspectJudgment(aspect, False, False, False))
-            continue
-        if aspect is Aspect.TE:
-            acted = bool(system.tes)
-            want = sorted((s, v.canonical) for s, v in gold.tes)
-            correct = acted and sorted(
-                (t.surface, t.value.canonical) for t in system.tes) == want
-        elif aspect is Aspect.TYPE:
-            acted = True
-            correct = system.qtype == gold.qtype
-        elif aspect is Aspect.SIGNAL:
-            acted = system.signal is not None
-            correct = acted and system.signal.surface == gold.signal
-        else:
-            acted = None not in (system.q_focus, system.q_restriction)
-            correct = acted and _split_matches(
-                ((system.q_focus, gold.q_focus),
-                 (system.q_restriction, gold.q_rest)), pack)
-        judgments.append(AspectJudgment(aspect, True, acted, correct))
-    judged = [j for j in judgments if j.applicable]
-    judgments.append(AspectJudgment(Aspect.DECOMP, True,
-                                    all(j.acted for j in judged),
-                                    all(j.correct for j in judged)))
-    return judgments
+    """Judge every aspect applicable for the gold question's type.  The
+    judgments come in Aspect order, DECOMP last, picked from ``_JUDGED``."""
+    te, qtype, signal, split, _ = _APPLICABLE[gold.qtype]
+    states = [0, 0, 0, 0]
+    if te:
+        acted = bool(system.tes)
+        states[0] = 1 + acted + (acted and sorted(
+            (t.surface, t.value.canonical) for t in system.tes)
+            == sorted((s, v.canonical) for s, v in gold.tes))
+    if qtype:
+        states[1] = 2 + (system.qtype == gold.qtype)
+    if signal:
+        acted = system.signal is not None
+        states[2] = 1 + acted + (acted
+                                 and system.signal.surface == gold.signal)
+    if split:
+        acted = None not in (system.q_focus, system.q_restriction)
+        states[3] = 1 + acted + (acted and _split_matches(
+            ((system.q_focus, gold.q_focus),
+             (system.q_restriction, gold.q_rest)), pack))
+    # DECOMP acted if every applicable aspect did, correct if every one was
+    states.append(min(state for state in states if state))
+    return [judged[state] for judged, state in zip(_JUDGED, states)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +203,10 @@ def judge_answer(system_answers, gold: str) -> tuple[Verdict, int | None]:
     if not answers:
         return Verdict.NOACT, None
     gold_norm = normalize_key(gold)
-    gold_tokens = tokenize(gold)
     for position, text in enumerate(answers, start=1):
         if normalize_key(text) == gold_norm:
             return Verdict.CORR, position
+    gold_tokens = tokenize(gold)
     for text in answers:
         if _contains_tokens(tokenize(text), gold_tokens):
             return Verdict.INE, None
@@ -245,48 +250,64 @@ class EvalReport:
 
 
 def gold_tags(gold: GoldQuestion, question: str) -> list[TemporalExpressionTag]:
-    """Materialize gold TE annotations as tagger output for injection."""
-    tags, cursor = [], 0
+    """Materialize gold TE annotations as tagger output for injection, in
+    question order.  Each surface is placed at its first case-insensitive
+    occurrence that overlaps none placed before it; a surface with no such
+    occurrence raises SchemaViolation."""
+    tags = []
     for surface, value in gold.tes:
         # searched in the question itself, not in its casefold, whose
         # length may differ ("ß" -> "ss")
-        m = re.compile(re.escape(surface), re.IGNORECASE).search(question,
-                                                                 cursor)
+        pattern = re.compile(re.escape(surface), re.IGNORECASE)
+        m = pattern.search(question)
+        while m is not None and any(m.start() < t.end and t.begin < m.end()
+                                    for t in tags):
+            m = pattern.search(question, m.start() + 1)
         if m is None:
-            continue
+            raise SchemaViolation(f"Q{gold.id}: TE {surface!r} does not "
+                                  "occur in the question apart from the "
+                                  "other TEs")
         tags.append(TemporalExpressionTag(
             surface=m.group(), begin=m.start(), end=m.end(), value=value))
-        cursor = m.end()
-    return tags
+    return sorted(tags, key=lambda tag: tag.begin)
 
 
-def _by_type(results) -> list[tuple[str, list[QuestionResult]]]:
-    """The by-type tables' groups, in row order: Type 1..4, then GLOBAL."""
-    return [(f"Type {qtype}", [r for r in results if r.qtype == qtype])
-            for qtype in (1, 2, 3, 4)] + [("GLOBAL", list(results))]
+_ASPECT_LABELS = tuple(aspect.value for aspect in Aspect)
+_GROUPS = ("Type 1", "Type 2", "Type 3", "Type 4", "GLOBAL")
 
 
-def _decomposition_counts(results, aspect: Aspect) -> Counts:
-    pos = act = corr = 0
+def _count_rows(results) -> tuple[tuple[EvalRow, ...], ...]:
+    """The aspect, type and QA rows from one pass over the results.  A
+    judgment's position gives its aspect and its state (applicable + acted
+    + correct) its column; a question counts in its type's group and in
+    GLOBAL, and in QA only when answered.  Rows keep the tables' order and
+    are built only for a non-empty population."""
+    aspects = [[0] * 4 for _ in _ASPECT_LABELS]
+    types = [[0] * 4 for _ in _GROUPS]
+    verdicts = [[] for _ in _GROUPS]
+    ranks = [[] for _ in _GROUPS]
     for result in results:
-        j = result.judgment(aspect)
-        if j.applicable:
-            pos, act, corr = pos + 1, act + j.acted, corr + j.correct
-    return Counts(pos=pos, act=act, corr=corr)
+        for tally, j in zip(aspects, result.judgments):
+            tally[j.applicable + j.acted + j.correct] += 1
+        decomp = result.judgments[-1]
+        for group in (result.qtype - 1, -1):
+            types[group][1 + decomp.acted + decomp.correct] += 1
+            if result.verdict is not None:
+                verdicts[group].append(result.verdict)
+                ranks[group].append(result.rank)
+    judged = [(n[1] + n[2] + n[3], n[2] + n[3], n[3])
+              for n in aspects + types]
+    answered = [(len(v), len(v) - v.count(Verdict.NOACT),
+                 v.count(Verdict.CORR), v.count(Verdict.INE))
+                for v in verdicts]
 
-
-def _qa_counts(results) -> Counts:
-    verdicts = [r.verdict for r in results]
-    return Counts(pos=len(verdicts),
-                  act=len(verdicts) - verdicts.count(Verdict.NOACT),
-                  corr=verdicts.count(Verdict.CORR),
-                  ine=verdicts.count(Verdict.INE))
-
-
-def _rows(entries) -> tuple[EvalRow, ...]:
-    """One row per (label, counts, ranks) entry with a non-empty population."""
-    return tuple(EvalRow(label, counts, metrics(counts, ranks=ranks))
-                 for label, counts, ranks in entries if counts.pos)
+    def rows(labels, tallies, rank_lists=(None,) * 5):
+        kept = [(label, Counts(*tally), r) for label, tally, r
+                in zip(labels, tallies, rank_lists) if tally[0]]
+        return tuple(EvalRow(label, c, metrics(c, ranks=r))
+                     for label, c, r in kept)
+    return (rows(_ASPECT_LABELS, judged[:5]), rows(_GROUPS, judged[5:]),
+            rows(_GROUPS, answered, ranks))
 
 
 def run_evaluation(testbed: Testbed, pack: LanguagePack,
@@ -320,14 +341,7 @@ def run_evaluation(testbed: Testbed, pack: LanguagePack,
             qid=gold.id, qtype=gold.qtype, judgments=judgments,
             verdict=verdict, rank=rank, answers=answers))
 
-    answered = [r for r in results if r.verdict is not None]
-    aspect_rows = _rows((aspect.value, _decomposition_counts(results, aspect),
-                         None) for aspect in Aspect)
-    type_rows = _rows((label, _decomposition_counts(group, Aspect.DECOMP), None)
-                      for label, group in _by_type(results))
-    qa_rows = _rows((label, _qa_counts(group), [r.rank for r in group])
-                    for label, group in _by_type(answered))
-
+    aspect_rows, type_rows, qa_rows = _count_rows(results)
     return EvalReport(
         language=testbed.language, ref=testbed.ref.isoformat(),
         gold_te_injection=gold_te_injection,

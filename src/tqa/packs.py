@@ -243,12 +243,6 @@ def _lookahead(items: list[str]) -> str:
     return f"(?=[{''.join(dict.fromkeys(items))}])" if items else ""
 
 
-def _guard(pattern: str) -> str:
-    """A lookahead that admits each character a match of ``pattern`` can
-    start with; "" where the pattern is to be tried everywhere."""
-    return _lookahead(_start_items(pattern))
-
-
 class Scanner:
     """Patterns joined in one regex that visits each position of a text
     once and tries there, in pack order, each pattern whose guard admits

@@ -102,6 +102,18 @@ def test_unknown_type_rejected():
         GoldQuestion(id=1, question="q?", qtype=5)
 
 
+@pytest.mark.parametrize("answer", ["—", "?", " ' "])
+def test_answer_without_a_word_is_schema_violation(answer):
+    """Such an ANSWER would match every answer that has no word either."""
+    with pytest.raises(SchemaViolation, match="^Q7: ANSWER has no word$"):
+        GoldQuestion(id=7, question="q?", qtype=1, answer=answer)
+    doc = ('<TESTBED lang="en" ref="2008-01-01"><Q id="7">'
+           f"<QUESTION>q?</QUESTION><TYPE>1</TYPE><ANSWER>{answer}</ANSWER>"
+           "</Q></TESTBED>").encode()
+    with pytest.raises(SchemaViolation, match="^Q7: ANSWER has no word$"):
+        load_testbed(doc)
+
+
 def _random_gold(rng: random.Random, qid: int) -> GoldQuestion:
     qtype = rng.choice([1, 2, 3, 4])
     words = ["what", "city", "award", "won", "during", "event", "la", "paz"]

@@ -5,12 +5,13 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqa.backend import shipped_fixtures
 from tqa.corpus import GoldQuestion, Testbed, shipped_testbed
 from tqa.decomposition import decompose
-from tqa.errors import EmptyPopulation
+from tqa.errors import EmptyPopulation, SchemaViolation
 from tqa.evaluation import (
     APPLICABILITY,
     Aspect,
@@ -317,6 +318,40 @@ def test_gold_tag_span_is_found_in_the_question_itself():
     assert question[tag.begin:tag.end] == tag.surface
 
 
+def test_gold_tags_come_in_question_order():
+    gold = GoldQuestion(id=4, qtype=2,
+                        question="What happened in 1990 and in 1980?",
+                        tes=(("1980", TimeValue("1980")),
+                             ("1990", TimeValue("1990"))))
+    tags = gold_tags(gold, gold.question)
+    assert [(t.surface, t.begin, t.value.canonical) for t in tags] == [
+        ("1990", 17, "1990"), ("1980", 29, "1980")]
+
+
+def test_gold_tags_place_a_repeated_surface_past_the_first():
+    gold = GoldQuestion(id=5, qtype=2,
+                        question="Who won in 1990 and lost in 1990?",
+                        tes=(("1990", TimeValue("1990")),
+                             ("in 1990", TimeValue("1990"))))
+    tags = gold_tags(gold, gold.question)
+    assert [(t.surface, t.begin) for t in tags] == [("1990", 11),
+                                                    ("in 1990", 25)]
+
+
+@pytest.mark.parametrize("tes", [
+    (("1980", TimeValue("1980")),),
+    (("1990", TimeValue("1990")), ("1990", TimeValue("1990"))),
+], ids=["absent", "taken"])
+def test_gold_tags_raise_for_a_surface_not_in_the_question(en_pack, tes):
+    gold = GoldQuestion(id=6, qtype=2, question="What happened in 1990?",
+                        tes=tes)
+    with pytest.raises(SchemaViolation, match=r"^Q6: TE '19[89]0' "):
+        gold_tags(gold, gold.question)
+    testbed = Testbed(language="en", ref=REF, questions=(gold,))
+    with pytest.raises(SchemaViolation, match="^Q6: "):
+        run_evaluation(testbed, en_pack, gold_te_injection=True)
+
+
 def test_judgment_correct_implies_acted():
     with pytest.raises(ValueError):
         AspectJudgment(Aspect.TE, True, False, True)
@@ -432,3 +467,61 @@ def test_render_xml_parses(en_pack, testbed_en):
     rows = root.findall("DECOMPOSITION/ROW")
     assert {r.get("label") for r in rows} == {"TE", "TYPE", "SIGNAL",
                                               "SPLIT", "DECOMP"}
+
+
+_GROUPS = ("Type 1", "Type 2", "Type 3", "Type 4", "GLOBAL")
+
+
+def _members(results, label):
+    return [r for r in results if label == "GLOBAL"
+            or label == f"Type {r.qtype}"]
+
+
+@pytest.mark.parametrize("lang", ["en", "es"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rows_equal_a_recount_of_the_results(lang, data):
+    """Any subsequence of a shipped testbed, in any order: every row is the
+    count of its population in report.results, and an empty one is
+    omitted."""
+    testbed, pack = shipped_testbed(lang), get_pack(lang)
+    picks = data.draw(st.lists(st.sampled_from(testbed.questions),
+                               min_size=1, unique_by=lambda q: q.id))
+    report = run_evaluation(dataclasses.replace(testbed,
+                                                questions=tuple(picks)),
+                            pack, store=shipped_fixtures(lang))
+    results = report.results
+    assert [r.qid for r in results] == [q.id for q in picks]
+
+    def judged(label, aspect, population):
+        js = [j for j in (r.judgment(aspect) for r in population)
+              if j.applicable]
+        counts = Counts(pos=len(js), act=sum(j.acted for j in js),
+                        corr=sum(j.correct for j in js))
+        return (label, counts, metrics(counts)) if js else None
+
+    aspect_rows = [judged(a.value, a, results) for a in Aspect]
+    type_rows = [judged(label, Aspect.DECOMP, _members(results, label))
+                 for label in _GROUPS]
+    qa_rows = []
+    for label in _GROUPS:
+        answered = [r for r in _members(results, label)
+                    if r.verdict is not None]
+        if not answered:
+            continue
+        verdicts = [r.verdict for r in answered]
+        counts = Counts(pos=len(answered),
+                        act=sum(v is not Verdict.NOACT for v in verdicts),
+                        corr=verdicts.count(Verdict.CORR),
+                        ine=verdicts.count(Verdict.INE))
+        ranks = [r.rank for r in answered]
+        row = metrics(counts, ranks=ranks)
+        assert row.mrr == pytest.approx(
+            sum(1 / rank for rank in ranks if rank) / len(ranks))
+        qa_rows.append((label, counts, row))
+
+    def shown(rows):
+        return [(r.label, r.counts, r.metrics) for r in rows]
+    assert shown(report.aspect_rows) == [row for row in aspect_rows if row]
+    assert shown(report.type_rows) == [row for row in type_rows if row]
+    assert shown(report.qa_rows) == qa_rows

@@ -21,7 +21,8 @@ from tqa.packs import (
     TEMPLATE_KINDS,
     Scanner,
     SignalEntry,
-    _guard,
+    _lookahead,
+    _start_items,
     get_pack,
     load_pack,
     serialize_pack,
@@ -195,7 +196,7 @@ def test_pattern_that_cannot_join_a_scanner_is_invalid(en_pack, old, new,
     ("a(", ""),
 ])
 def test_guard_admits_each_start_or_is_empty(pattern, guard):
-    assert _guard(pattern) == guard
+    assert _lookahead(_start_items(pattern)) == guard
 
 
 @pytest.mark.parametrize("patterns, union, hits", [
