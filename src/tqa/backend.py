@@ -8,8 +8,10 @@ QA service so that end-to-end behavior is reproducible.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from datetime import date
+from operator import attrgetter
 from typing import Protocol
 from xml.etree import ElementTree as ET
 
@@ -60,41 +62,40 @@ class FixtureStore:
         return list(self.entries.get(normalize_key(query.question), ()))
 
 
-def _parse_answer(el: ET.Element, key: str,
-                  values: dict[str, TimeValue]) -> DatedAnswer:
-    """One A row; ``values`` maps value strings already parsed to their
-    TimeValue, so that equal strings share one value and its interval."""
-    try:
-        rank = int(el.get("rank", ""))
-    except ValueError:
-        rank = 0
-    if rank < 1:
-        raise SchemaViolation(f"fixture {key!r}: bad rank {el.get('rank')!r}")
-    value_text = el.get("value")
-    value = None
-    if value_text:
-        value = values.get(value_text)
-        if value is None:
+def _parse_entry(fq: ET.Element, values: dict[str, TimeValue],
+                 ) -> tuple[str, tuple[DatedAnswer, ...]]:
+    """One FQ element: its key and its A rows in rank order (sorted only if
+    out of it); its first faulty row in document order raises.  ``values``
+    maps value strings parsed so far to their TimeValue, shared by rows."""
+    key = fq.get("key", "")
+    if not key:
+        raise SchemaViolation("fixture entry without key")
+    answers, last, ordered = [], 0, True
+    for el in fq.findall("A"):
+        try:
+            rank = int(el.get("rank", ""))
+        except ValueError:
+            rank = 0
+        if rank < 1:
+            raise SchemaViolation(
+                f"fixture {key!r}: bad rank {el.get('rank')!r}")
+        value_text = el.get("value")
+        value = values.get(value_text) if value_text else None
+        if value is None and value_text:
             try:
                 value = values[value_text] = TimeValue(value_text)
             except MalformedValue as exc:
                 raise SchemaViolation(f"fixture {key!r}: value {exc}")
-    text = (el.text or "").strip()
-    if not text:
-        raise SchemaViolation(
-            f"fixture {key!r}: answer at rank {rank} has no text")
-    return DatedAnswer(text=text, rank=rank, value=value)
-
-
-def _parse_entry(fq: ET.Element, values: dict[str, TimeValue],
-                 ) -> tuple[str, tuple[DatedAnswer, ...]]:
-    """One FQ element: its key and its A rows in rank order."""
-    key = fq.get("key", "")
-    if not key:
-        raise SchemaViolation("fixture entry without key")
-    return key, tuple(sorted((_parse_answer(a, key, values)
-                              for a in fq.findall("A")),
-                             key=lambda a: a.rank))
+        text = (el.text or "").strip()
+        if not text:
+            raise SchemaViolation(
+                f"fixture {key!r}: answer at rank {rank} has no text")
+        answers.append(DatedAnswer(text, rank, value))
+        ordered = ordered and last <= rank
+        last = rank
+    if not ordered:
+        answers.sort(key=attrgetter("rank"))
+    return key, tuple(answers)
 
 
 def load_fixtures(source) -> FixtureStore:
@@ -104,32 +105,38 @@ def load_fixtures(source) -> FixtureStore:
     then cleared, so the whole document is never held at once.  An FQ's
     fault is raised only after the root and its reference date pass, and
     only if the FQ is a child of the root, so the fault reported is the
-    first in document order, the root's before any entry's."""
-    parsed, values = {}, {}
-    for element in iter_xml(source, SchemaViolation):
-        if element.tag == "FQ":
-            try:
-                parsed[element] = _parse_entry(element, values)
-            except TqaError as exc:
-                parsed[element] = exc
-            element.clear()
-    root = element
-    if root.tag != "FIXTURES":
-        raise SchemaViolation(f"root element {root.tag!r}, expected FIXTURES")
-    ref_text = root.get("ref", "")
+    first in document order, the root's before any entry's.  The answers
+    form no reference cycle, so the cyclic collector, which would only
+    rescan those built so far, is paused for the load and then restored."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        ref = date.fromisoformat(ref_text)
-    except ValueError:
-        raise SchemaViolation(f"bad fixture reference date {ref_text!r}")
-    entries = {}
-    for fq in root.findall("FQ"):
-        entry = parsed[fq]
-        if isinstance(entry, TqaError):
-            raise entry
-        key, answers = entry
-        entries[key] = answers
-    return FixtureStore(entries=entries, ref=ref,
-                        language=root.get("lang", "en"))
+        parsed, values = {}, {}
+        for element in iter_xml(source, SchemaViolation):
+            if element.tag == "FQ":
+                try:
+                    parsed[element] = _parse_entry(element, values)
+                except TqaError as exc:
+                    parsed[element] = exc
+                element.clear()
+        root = element
+        if root.tag != "FIXTURES":
+            raise SchemaViolation(
+                f"root element {root.tag!r}, expected FIXTURES")
+        ref_text = root.get("ref", "")
+        try:
+            ref = date.fromisoformat(ref_text)
+        except ValueError:
+            raise SchemaViolation(f"bad fixture reference date {ref_text!r}")
+        entries = [parsed[fq] for fq in root.findall("FQ")]
+        for entry in entries:
+            if isinstance(entry, TqaError):
+                raise entry
+        return FixtureStore(entries=dict(entries), ref=ref,
+                            language=root.get("lang", "en"))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_fixtures(store: FixtureStore) -> bytes:

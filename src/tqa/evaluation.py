@@ -321,8 +321,7 @@ def run_evaluation(testbed: Testbed, pack: LanguagePack,
         check_language("fixture", store.language, pack)
     if not testbed.questions:
         raise EmptyPopulation("empty testbed")
-    extension_rules = {rule.name for rule in pack.te_rules
-                       if dict(rule.args).get("extension")}
+    extension_rules = pack.compiled.extension_rules
     extension_matches = 0
     results = []
     for gold in testbed.questions:

@@ -345,14 +345,16 @@ class CompiledPack(NamedTuple):
     where its first character can stand, and a word start where no
     pattern can begin passed over with one test), per clause template in
     order its (kind, PATTERN regex or None, OUTPUT split into runs by
-    ``_split_output`` here, at the pack's first use), and the quantity+unit
-    phrase that may stand right before a signal ("four years")."""
+    ``_split_output`` here, at the pack's first use), the quantity+unit
+    phrase that may stand right before a signal ("four years"), and the
+    names of the rules marked as capability extensions."""
 
     rules: tuple
     rule_scanner: Scanner
     signal_scanner: Scanner
     templates: tuple[tuple[str, re.Pattern | None, tuple], ...]
     modifier: re.Pattern
+    extension_rules: frozenset[str]
 
 
 @dataclass(eq=True)
@@ -436,8 +438,10 @@ class LanguagePack:
         modifier = _compile(self.expand(
             r"(?P<mod>(?<![\w-])(?:\d+|{number}(?:-{number})*)\s+{unit})"
             r"\s+$", what), what)
+        extension_rules = frozenset(rule.name for rule in self.te_rules
+                                    if dict(rule.args).get("extension"))
         return CompiledPack(tuple(rules), rule_scanner, signal_scanner,
-                            tuple(templates), modifier)
+                            tuple(templates), modifier, extension_rules)
 
     # -- verb lexicon ------------------------------------------------------
 

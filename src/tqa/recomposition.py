@@ -14,12 +14,13 @@ from .errors import Diagnostic
 from .time_model import DayInterval, Relation, TimeValue, relation_test
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DatedAnswer:
     """A ranked candidate answer with an optional attached date.
 
     ``interval`` is ``value.interval`` (None when undated or unanchored),
-    copied into the answer's own slot when it is made.
+    set by the one constructor (``dataclasses.replace`` calls it too)
+    through the slot's descriptor, past the frozen ``__setattr__``.
     """
 
     text: str
@@ -28,11 +29,17 @@ class DatedAnswer:
     interval: DayInterval | None = field(init=False, repr=False,
                                          compare=False)
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, text: str, rank: int, value: TimeValue | None = None):
+        if rank < 1:
             raise ValueError("rank must be positive")
-        object.__setattr__(self, "interval", None if self.value is None
-                           else self.value.interval)
+        _set_text(self, text)
+        _set_rank(self, rank)
+        _set_value(self, value)
+        _set_interval(self, None if value is None else value.interval)
+
+
+_set_text, _set_rank, _set_value, _set_interval = (
+    DatedAnswer.__dict__[name].__set__ for name in DatedAnswer.__slots__)
 
 
 @dataclass(frozen=True)

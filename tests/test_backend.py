@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import io
 import re
 import tracemalloc
 from datetime import date
+from xml.etree import ElementTree as ET
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqa import time_model
@@ -283,3 +286,106 @@ def test_truncated_fixture_file_is_malformed(tmp_path):
     assert str(err.value).startswith(f"{path}: ")
     with pytest.raises(SchemaViolation, match="malformed XML"):
         load_fixtures(document[:cut])
+
+
+def _one_entry(rows: bytes) -> bytes:
+    return (b'<FIXTURES ref="2008-01-01" lang="en"><FQ key="q">' + rows
+            + b"</FQ></FIXTURES>")
+
+
+def test_fixture_rows_out_of_rank_order_load_in_rank_order():
+    store = load_fixtures(_one_entry(
+        b'<A rank="3">c</A><A rank="1" value="1990">a</A><A rank="2">b</A>'))
+    assert [(a.rank, a.text) for a in store.entries["q"]] == [
+        (1, "a"), (2, "b"), (3, "c")]
+    assert store.entries["q"][0].interval == TimeValue("1990").interval
+
+
+def test_fixture_repeated_rank_is_not_contiguous():
+    with pytest.raises(SchemaViolation, match=re.escape(
+            "fixture 'q': ranks [1, 1] not contiguous from 1")):
+        load_fixtures(_one_entry(b'<A rank="1">a</A><A rank="1">b</A>'))
+
+
+@pytest.mark.parametrize("rows,fault", [
+    (b'<A rank="2"> </A><A rank="1" value="zz">a</A>',
+     "fixture 'q': answer at rank 2 has no text"),
+    (b'<A rank="2" value="zz">b</A><A rank="1"> </A>',
+     "fixture 'q': value 'zz'"),
+    (b'<A rank="1">a</A><A rank="x">b</A><A rank="0" value="zz">c</A>',
+     "fixture 'q': bad rank 'x'"),
+], ids=["text-before-value", "value-before-text", "rank-before-rank"])
+def test_fixture_entry_reports_its_first_faulty_row(rows, fault):
+    # the first in document order, not in rank order
+    with pytest.raises(SchemaViolation, match=re.escape(fault)):
+        load_fixtures(_one_entry(rows))
+
+
+_WORDS = ("who", "won", "the", "prize", "when", "did", "it", "end")
+_VALUES = (None, "1968", "196", "1968-1970", "1968-10-05", "XXXX-08-15",
+           "[1990-1995]")
+_STORES = st.dictionaries(
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+    st.lists(st.tuples(
+        st.text(alphabet="ab <&>'\u00e9", min_size=1).map(str.strip)
+        .filter(bool), st.sampled_from(_VALUES)), min_size=1, max_size=6),
+    min_size=1, max_size=4).map(lambda entries: FixtureStore(entries={
+        key: tuple(DatedAnswer(text, rank, value and TimeValue(value))
+                   for rank, (text, value) in enumerate(rows, 1))
+        for key, rows in entries.items()}, ref=REF))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STORES, st.data())
+def test_fixture_rows_in_any_order_load_back_the_store(store, data):
+    root = ET.fromstring(write_fixtures(store))
+    for fq in root:
+        rows = list(fq)
+        for row in rows:
+            fq.remove(row)
+        fq.extend(data.draw(st.permutations(rows)))
+    loaded = load_fixtures(ET.tostring(root))
+    assert loaded == store
+    assert list(loaded.entries) == list(store.entries)
+    for answers in loaded.entries.values():
+        assert [a.rank for a in answers] == list(range(1, len(answers) + 1))
+
+
+class _ReadProbe(io.BytesIO):
+    """A fixture file that records whether the collector runs at each
+    read, that is, while the load is under way."""
+
+    def __init__(self, data, states):
+        super().__init__(data)
+        self.states = states
+
+    def read(self, *args):
+        self.states.append(gc.isenabled())
+        return super().read(*args)
+
+
+_GOOD = _document(keys=3, rows=2)
+
+
+@pytest.mark.parametrize("document,fault", [
+    (_GOOD, None),
+    (_one_entry(b'<A rank="0">a</A>'), "bad rank '0'"),
+    (_GOOD[:len(_GOOD) // 2], "malformed XML"),
+    (b'<FIXTURES ref="x"/>', "bad fixture reference date"),
+], ids=["loaded", "entry-fault", "malformed", "root-fault"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_fixture_load_pauses_and_restores_the_collector(document, fault,
+                                                        enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    states = []
+    try:
+        if fault is None:
+            load_fixtures(_ReadProbe(document, states))
+        else:
+            with pytest.raises(SchemaViolation, match=fault):
+                load_fixtures(_ReadProbe(document, states))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert states and not any(states)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -608,3 +612,47 @@ def test_file_in_another_language_than_the_pack(capsys, argv, fault):
     code, out, err = run(capsys, *argv)
     assert_one_error_line(code, out, err)
     assert fault in err
+
+
+#: The console checks that no in-process row above makes: (id, argv, a
+#: (pattern, replacement) edit of every match in the shipped English
+#: fixtures, read through --fixtures, or None, exit code, stdout).
+_CONSOLE_CHECKS = [
+    ("pack-validate-en", ["pack-validate", "--lang", "en"], None, 0,
+     "OK en: 8 signals, 16 expression rules, 4 clause templates\n"),
+    ("tag-two-decades-ago", ["tag", "Who won the prize two decades ago?"],
+     None, 0, '<TE value="198">two decades ago</TE>\n'),
+    ("tag-hace-dos-decadas", ["tag", "--lang", "es",
+                              "¿Quién ganó el premio hace dos décadas?"],
+     None, 0, '<TE value="198">hace dos décadas</TE>\n'),
+    ("tag-the-early-1990s", ["tag", "Who won in the early 1990s?"], None, 0,
+     '<TE value="1990-1994">the early 1990s</TE>\n'),
+    ("answer-es-karlfeldt", ["answer", "--lang", "es",
+                             "¿Qué persona ganó el premio Nobel de "
+                             "Literatura cuando James Dean nació en el año "
+                             "31?"], None, 0, "Erik Axel Karlfeldt\n"),
+    ("answer-fixtures-rank-0", ["answer", _TYPE4],
+     (b'rank="1"', b'rank="0"'), 2, ""),
+    ("answer-fixtures-blank-text", ["answer", _TYPE4],
+     (b">Georgetown University<", b">  <"), 2, ""),
+]
+
+
+@pytest.mark.parametrize("argv,edit,code,out",
+                         [case[1:] for case in _CONSOLE_CHECKS],
+                         ids=[case[0] for case in _CONSOLE_CHECKS])
+def test_console_check(tmp_path, argv, edit, code, out):
+    # what the tqa console script runs, in a fresh interpreter
+    if edit is not None:
+        doc = (DATA_DIR / "fixtures_en.xml").read_bytes()
+        assert edit[0] in doc
+        path = tmp_path / "fx.xml"
+        path.write_bytes(doc.replace(*edit))
+        argv = [argv[0], "--fixtures", str(path), *argv[1:]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=os.pathsep
+               .join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "tqa.cli", *argv], env=env,
+                          capture_output=True, encoding="utf-8", timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+    assert code == 0 or proc.stderr.startswith("error: "), proc.stderr

@@ -36,6 +36,16 @@ def test_builtins_validate(en_pack, es_pack):
     assert en_pack.compiled and es_pack.compiled
 
 
+def test_extension_rules_are_named_once_per_pack(en_pack, es_pack):
+    assert en_pack.compiled.extension_rules == {"spoken-year"}
+    assert es_pack.compiled.extension_rules == {"año-en-palabras"}
+    plain = tuple(dataclasses.replace(rule, args=tuple(
+        (k, v) for k, v in rule.args if k != "extension"))
+        for rule in en_pack.te_rules)
+    pruned = dataclasses.replace(en_pack, te_rules=plain)
+    assert pruned.compiled.extension_rules == frozenset()
+
+
 def test_signal_lexicon_covers_core_bases(en_pack, es_pack):
     for pack in (en_pack, es_pack):
         assert CORE_SIGNAL_BASES <= {s.base for s in pack.signals}
