@@ -94,26 +94,12 @@ _ELEMENTS = {
 #: The name starts with a letter, so ``\d{1,4}`` is no placeholder.
 _PLACEHOLDER = re.compile(r"\{([A-Za-z]\w*)\}")
 
-#: What in a pattern opens, closes, names or numbers a group, or hides such
-#: syntax: a group number (an escape's digits, unless an octal escape), an
-#: escape, a character class or a comment, a conditional on a group number,
-#: global inline flags, a group name or a reference to one, a parenthesis,
-#: and a bracket or backslash that no class or escape takes.  A class's
-#: leading ``^`` and ``]`` are its own, as ``re`` reads them.
-_GROUP_SYNTAX = re.compile(r"""
-    \\(?P<number>(?![0-7]{3})[1-9][0-9]?)
-  | (?P<inert>\\. | \[(?=(?P<head>\^?\]?))(?P=head)(?:\\.|[^\\\]])*\]
-              | \(\?\#[^)]*\))
-  | \(\?\((?P<condition>[0-9]+)\)
-  | (?P<flags>\(\?[aiLmsux]+\))
-  | (?P<lead>\(\?(?:P<|P=|\())(?P<name>[^\W\d]\w*)
-  | [()]
-  | (?P<unclosed>[\[\\])
-""", re.VERBOSE | re.DOTALL)
-
-
 #: The flags every pack pattern compiles under.
 _FLAGS = re.IGNORECASE | re.UNICODE
+
+#: The most characters a scanner keeps the patterns they admit for: with
+#: an unguarded pattern any character reaches the scan.
+_MEMO_SIZE = 1024
 
 #: The class escape of each category the first-character walk reads.
 _CATEGORIES = {"CATEGORY_DIGIT": r"\d", "CATEGORY_NOT_DIGIT": r"\D",
@@ -126,7 +112,7 @@ def _compile(pattern: str, what: str) -> re.Pattern:
     compile raises PackInvalid naming ``what`` it belongs to."""
     try:
         return re.compile(pattern, _FLAGS)
-    except re.error as exc:
+    except (re.error, ValueError, OverflowError) as exc:
         raise PackInvalid(f"{what}: pattern does not compile: {exc}") from None
 
 
@@ -149,38 +135,6 @@ def _split_output(output: str, pieces: tuple[str, ...],
         at = m.end()
     runs.append((output[at:], None, False))
     return tuple(runs)
-
-
-def _prefixed(pattern: str, prefix: str, what: str) -> str:
-    """The pattern with ``prefix`` before each group name, so that patterns
-    joined in one regex keep their groups apart.  Joined, the groups
-    renumber, global flags would reach every pattern, and a parenthesis the
-    pattern does not open, or a class or escape it does not close, would
-    reach past its end, so each of those raises PackInvalid."""
-    depth = 0
-
-    def rename(m):
-        nonlocal depth
-        number = m["number"] or m["condition"]
-        if number:
-            raise PackInvalid(f"{what}: pattern refers to group {number} by "
-                              "number; name the group")
-        if m["flags"]:
-            raise PackInvalid(f"{what}: pattern sets global flags "
-                              f"{m['flags']}; scope them as (?flags:...)")
-        if m["unclosed"]:
-            # joined, it would take in the patterns that follow
-            raise PackInvalid(f"{what}: pattern does not compile: "
-                              f"{m['unclosed']} is not closed")
-        if m["inert"]:
-            return m.group()
-        depth += m.group().count("(") - m.group().count(")")
-        if depth < 0:
-            raise PackInvalid(f"{what}: pattern closes a group it does not "
-                              "open")
-        return m["lead"] + prefix + m["name"] if m["name"] else m.group()
-
-    return _GROUP_SYNTAX.sub(rename, pattern)
 
 
 def _starts(items: list[str], parsed) -> bool:
@@ -227,12 +181,13 @@ def _start_items(pattern: str) -> list[str]:
     """The class items of each character a match of ``pattern`` can start
     with, and maybe more, read under the pattern's own flags, so that
     ``[s]`` admits ``ſ`` as the literal ``s`` does; none where the pattern
-    can match the empty string or its start cannot be read."""
-    items = []
+    can match the empty string or its start cannot be read.  A pattern
+    that does not parse raises what ``re.compile`` would."""
+    items, parsed = [], _sre_parse.parse(pattern, _FLAGS)
     try:
-        if _starts(items, _sre_parse.parse(pattern, _FLAGS)):
+        if _starts(items, parsed):
             return []
-    except (LookupError, re.error, OverflowError):
+    except LookupError:
         return []
     return items
 
@@ -244,69 +199,66 @@ def _lookahead(items: list[str]) -> str:
 
 
 class Scanner:
-    """Patterns joined in one regex that visits each position of a text
-    once and tries there, in pack order, each pattern whose guard admits
-    the position's character: one that can begin a match of the pattern.
-    A pattern whose start cannot be read has no guard and is tried
-    everywhere.  When every pattern has a guard, one union guard of their
-    characters comes first, so that a word start where no pattern can
-    begin is passed over with one test.  No word character may stand
-    right before or after a pattern's match, and ``matches`` gives what
-    the pattern so bounded gives alone under ``finditer``; ``named``
-    holds, per pattern, the
-    (name, group number in the joined regex) of each of its named groups,
-    so that a hit gives the groups of the pattern's own match.  A pattern
-    that does not compile, or that matches the empty string (it would tag
-    or split at a point), raises PackInvalid naming its ``what``."""
+    """Patterns each compiled alone behind its guard, bounded so that no
+    word character stands right before or after a match, and scanned
+    together: ``matches`` gives what each gives alone under ``finditer``.
+    A guard admits the characters that can begin its pattern's match; a
+    pattern whose start cannot be read has none and is tried everywhere.
+    The scan visits each position no word character precedes, passes over
+    one where no pattern can begin with one test of the guards' union
+    (when every pattern has a guard), and tries at the others, in pack
+    order, the patterns whose guard admits the position's character, as
+    worked out once a character for up to ``_MEMO_SIZE`` characters.  A
+    pattern that does not parse alone, sets global flags, or matches the
+    empty string (it would tag or split at a point) raises PackInvalid
+    naming its ``what``."""
 
     def __init__(self, patterns: list[str], whats: list[str]):
-        # at each position an optional lookahead per pattern, behind its
-        # guard, captures its match as group _i, and the conditionals fail
-        # where none did, so finditer returns only positions where some
-        # pattern matches.  The one character consumed moves finditer on,
-        # where an empty match would make it try every lookahead again at
-        # the same position.  At the end of a text nothing is consumed, so
-        # matching "" tries every unguarded pattern on the empty string;
-        # a pattern that can match it has no guard.
-        n = len(patterns)
-        starts = [_start_items(pattern) for pattern in patterns]
+        starts, regexes = [], []
+        for pattern, what in zip(patterns, whats):
+            try:  # parsed alone, so that re's offset is in the pattern
+                starts.append(_start_items(pattern))
+            except (re.error, ValueError, OverflowError) as exc:
+                raise PackInvalid(f"{what}: pattern does not compile: {exc}"
+                                  ) from None
+            try:  # what parses alone fails here only on global flags
+                regexes.append(re.compile(
+                    rf"{_lookahead(starts[-1])}(?:{pattern})(?!\w)", _FLAGS))
+            except re.error:
+                raise PackInvalid(f"{what}: pattern sets global flags; scope "
+                                  "them as (?flags:...)") from None
+            if regexes[-1].match(""):
+                raise PackInvalid(f"{what}: pattern matches the empty string")
         self.guards = tuple(map(_lookahead, starts))
+        self.regexes = tuple(regexes)
+        self._admits = tuple(re.compile(g, _FLAGS) for g in self.guards)
+        self._tried = {}
         union = _lookahead([item for items in starts for item in items]
                            ) if all(starts) else ""
-        source = r"(?<!\w)" + union + "".join(
-            rf"(?:{guard}(?=(?P<_{i}>(?:{_prefixed(pattern, f'_{i}_', what)})"
-            r"(?!\w)))|)"
-            for i, (pattern, guard, what)
-            in enumerate(zip(patterns, self.guards, whats)))
-        source += "".join(f"(?(_{i})|" for i in range(n)) + "(?!)" + ")" * n
-        try:
-            self.regex = _compile(source + r"(?s:.?)", "joined patterns")
-        except PackInvalid:
-            for pattern, what in zip(patterns, whats):
-                _compile(pattern, what)  # names the faulty pattern
-            raise
-        self.groups = tuple(self.regex.groupindex[f"_{i}"] for i in range(n))
-        self.named = tuple(
-            tuple((name[len(prefix):], number)
-                  for name, number in self.regex.groupindex.items()
-                  if name.startswith(prefix))
-            for prefix in (f"_{i}_" for i in range(n)))
-        empty = self.regex.match("")
-        for group, what in zip(self.groups, whats):
-            if empty and empty.start(group) == 0:
-                raise PackInvalid(f"{what}: pattern matches the empty string")
+        # one character per position, and none at the end of the text,
+        # where only an unguarded pattern can be tried
+        self.positions = re.compile(rf"(?<!\w){union}(?s:.?)", _FLAGS)
 
     def matches(self, text: str):
         """(start, end, index, hit) of each pattern's leftmost
-        non-overlapping matches, by start and then pattern index; the
-        pattern's named groups are read from ``hit`` by ``named[index]``."""
-        groups = self.groups
-        ends = [0] * len(groups)
-        for hit in self.regex.finditer(text):
-            for index, start in enumerate(map(hit.start, groups)):
-                if start >= ends[index]:  # -1: no match here
-                    ends[index] = end = hit.end(groups[index])
-                    yield start, end, index, hit
+        non-overlapping matches, by start and then pattern index; ``hit``
+        is the pattern's own match."""
+        ends, memo = [0] * len(self.regexes), self._tried
+        for position in self.positions.finditer(text):
+            start, char = position.start(), position.group()
+            tried = memo.get(char)
+            if tried is None:
+                tried = tuple((index, regex) for index, (admits, regex)
+                              in enumerate(zip(self._admits, self.regexes))
+                              if admits.match(char))
+                if len(memo) < _MEMO_SIZE:
+                    memo[char] = tried
+            for index, regex in tried:
+                if start >= ends[index]:
+                    hit = regex.match(text, start)
+                    if hit:
+                        ends[index] = end = hit.end()
+                        yield start, end, index, hit
 
 
 @dataclass(frozen=True)
@@ -339,15 +291,13 @@ class ClauseTemplate:
 
 class CompiledPack(NamedTuple):
     """A pack's patterns compiled and its rules bound: per rule in order its
-    (normalization function, parsed ARG, named groups in the rule scanner),
-    one scanner over the rule patterns and one over the signal patterns (a
-    match's index is its rule's or signal entry's; each pattern tried only
-    where its first character can stand, and a word start where no
-    pattern can begin passed over with one test), per clause template in
-    order its (kind, PATTERN regex or None, OUTPUT split into runs by
-    ``_split_output`` here, at the pack's first use), the quantity+unit
-    phrase that may stand right before a signal ("four years"), and the
-    names of the rules marked as capability extensions."""
+    (normalization function, parsed ARG), one scanner over the rule
+    patterns and one over the signal patterns (a match's index is its
+    rule's or signal entry's, and its hit the pattern's own match), per
+    clause template in order its (kind, PATTERN regex or None, OUTPUT
+    split into runs by ``_split_output`` here, at the pack's first use),
+    the quantity+unit phrase that may stand right before a signal ("four
+    years"), and the names of the rules marked as capability extensions."""
 
     rules: tuple
     rule_scanner: Scanner
@@ -400,8 +350,8 @@ class LanguagePack:
         rule_scanner = Scanner(
             [self.expand(rule.pattern, what)
              for rule, what in zip(self.te_rules, whats)], whats)
-        rules = [bind_rule(rule, groups)
-                 for rule, groups in zip(self.te_rules, rule_scanner.named)]
+        rules = [bind_rule(rule, regex)
+                 for rule, regex in zip(self.te_rules, rule_scanner.regexes)]
         missing = CORE_SIGNAL_BASES - {entry.base for entry in self.signals}
         if missing:
             raise PackInvalid(

@@ -8,6 +8,7 @@ clock is never consulted.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import MAXYEAR, date, timedelta
 
@@ -212,17 +213,16 @@ _OPS = {
 }
 
 
-def bind_rule(rule: TagRule, groups: tuple[tuple[str, int], ...]):
-    """The rule's normalization function, parsed ARG (None for an op that
-    reads none) and ``groups``, the (name, number) of each named group of
-    its pattern in the rule scanner; PackInvalid when the op is unknown,
-    the pattern lacks a group the op requires, or an ARG is given twice,
-    not read (``extension`` aside) or outside its domain.  Read through
-    ``LanguagePack.compiled``, which compiles the pattern."""
+def bind_rule(rule: TagRule, regex: re.Pattern):
+    """The rule's normalization function and parsed ARG (None for an op
+    that reads none); PackInvalid when the op is unknown, ``regex``, the
+    rule's pattern as the rule scanner compiled it, lacks a group the op
+    requires, or an ARG is given twice, not read (``extension`` aside) or
+    outside its domain.  Read through ``LanguagePack.compiled``."""
     if rule.op not in _OPS:
         raise PackInvalid(f"rule {rule.name!r}: unknown op {rule.op!r}")
     op, required, arg = _OPS[rule.op]
-    missing = [g for g in required if g not in dict(groups)]
+    missing = [g for g in required if g not in regex.groupindex]
     if missing:
         raise PackInvalid(f"rule {rule.name!r}: op {rule.op!r} requires "
                           f"pattern group(s) {', '.join(missing)}")
@@ -234,10 +234,10 @@ def bind_rule(rule: TagRule, groups: tuple[tuple[str, int], ...]):
         if keys.count(key) > 1:
             raise PackInvalid(f"rule {rule.name!r}: ARG {key} is given twice")
     if arg is None:
-        return op, None, groups
+        return op, None
     key, default, read = arg
     try:
-        return op, read(dict(rule.args).get(key, default)), groups
+        return op, read(dict(rule.args).get(key, default))
     except (ValueError, MalformedValue) as exc:
         raise PackInvalid(f"rule {rule.name!r}: ARG {key}: {exc}") from None
 
@@ -253,10 +253,9 @@ def tag(question: str, pack: LanguagePack,
     compiled = pack.compiled
     candidates = []
     for start, end, index, hit in compiled.rule_scanner.matches(question):
-        op, arg, groups = compiled.rules[index]
+        op, arg = compiled.rules[index]
         try:
-            value = op({name: hit[number] for name, number in groups}, arg,
-                       pack, ref)
+            value = op(hit.groupdict(), arg, pack, ref)
         except (MalformedValue, OutOfCalendar):
             continue  # outside years 1-9999 or the value grammar
         if value is not None:

@@ -523,9 +523,6 @@ _BROKEN_INPUTS = [
      "missing attribute PACK/SUFFIX@checked"),
     ("no-during-signal", "pack", rb'<SIGNAL base="during"[^>]*>during</SIGNAL>',
      b"", "signal lexicon misses core bases: ['during']"),
-    ("numbered-group-reference", "pack", rb"<PATTERN>this year</PATTERN>",
-     rb"<PATTERN>this (year)\\1?</PATTERN>",
-     "rule 'this-year': pattern refers to group 1 by number"),
     ("repeated-rule-name", "pack", rb'name="quote-year"', b'name="plain-year"',
      "temporal expression rule names are not unique"),
     ("misspelt-arg-key", "pack", rb'key="direction"', b'key="direciton"',
@@ -550,6 +547,20 @@ _BROKEN_INPUTS = [
      "must be in 1..12"),
     ("empty-answer", "fixtures", rb">Georgetown University<", b">  <",
      "fixture 'where did bill clinton study': answer at rank 1 has no text"),
+    # the parser raises LookupError or ValueError for an encoding it cannot
+    # read, not a parse error
+    ("unknown-encoding", "fixtures", rb"encoding='utf-8'", b"encoding='utf-x'",
+     "malformed XML: unknown encoding: utf-x"),
+    ("multi-byte-encoding", "fixtures", rb"encoding='utf-8'",
+     b"encoding='utf-7'", "malformed XML: multi-byte encodings are not "
+     "supported"),
+    ("not-a-text-encoding", "testbed", rb"<TESTBED ",
+     b"<?xml version='1.0' encoding='rot13'?><TESTBED ",
+     "malformed XML: 'rot13' is not a text encoding"),
+    ("idna-encoding", "pack", rb"encoding='utf-8'", b"encoding='idna'",
+     "malformed XML: decoding with 'idna' codec failed"),
+    ("punycode-encoding", "pack", rb"encoding='utf-8'", b"encoding='punycode'",
+     "malformed XML: "),
 ]
 
 #: Per file: its name, its unbroken text and the command that reads it.
@@ -575,6 +586,21 @@ def test_broken_input_is_one_error_line(capsys, tmp_path, kind, old, new,
     code, out, err = run(capsys, *argv(path))
     assert_one_error_line(code, out, err)
     assert fault in err
+
+
+def test_rule_with_a_numbered_group_reference_tags(capsys, tmp_path):
+    # each pattern compiles alone, so \1 is its own group 1
+    doc = (DATA_DIR / "en.xml").read_bytes()
+    old = b"<PATTERN>this year</PATTERN>"
+    assert doc.count(old) == 1
+    (tmp_path / "en.xml").write_bytes(
+        doc.replace(old, rb"<PATTERN>this (year)\1?</PATTERN>"))
+    code, out, err = run(capsys, "pack-validate", "--pack", str(tmp_path))
+    assert (code, out, err) == (
+        0, "OK en: 8 signals, 16 expression rules, 4 clause templates\n", "")
+    assert run(capsys, "tag", "--pack", str(tmp_path),
+               "Who won this yearyear?") == (
+        0, '<TE value="2008">this yearyear</TE>\n', "")
 
 
 @pytest.mark.parametrize("command", ["answer", "decompose"])

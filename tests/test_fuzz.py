@@ -210,7 +210,7 @@ def finditer_tag(question, pack, ref):
     """``tag`` with each rule's own regex run over the question by
     ``finditer``."""
     candidates = []
-    for index, (regex, (op, arg, _), rule) in enumerate(zip(
+    for index, (regex, (op, arg), rule) in enumerate(zip(
             rule_regexes(pack), pack.compiled.rules, pack.te_rules)):
         for m in regex.finditer(question):
             try:
@@ -263,8 +263,8 @@ def assert_ops_get_their_rules_groups(pack, question, ref):
     compiled, given = pack.compiled, []
     spy = dataclasses.replace(pack)  # each op only records what it gets
     vars(spy)["compiled"] = compiled._replace(rules=tuple(
-        (lambda got, *_, index=index: given.append((index, got)), arg, groups)
-        for index, (_, arg, groups) in enumerate(compiled.rules)))
+        (lambda got, *_, index=index: given.append((index, got)), arg)
+        for index, (_, arg) in enumerate(compiled.rules)))
     tag(question, spy, ref)
     regexes = rule_regexes(pack)
     assert given == [(index, regexes[index].match(question, start).groupdict())

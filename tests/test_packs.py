@@ -10,12 +10,14 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
+from tqa.cli import main
 from tqa.decomposition import decompose
 from tqa.tagger import _OPS, tag
 from tqa.errors import PackInvalid
 from tqa.packs import (
     _ELEMENTS,
     _LEXICON,
+    _MEMO_SIZE,
     CORE_SIGNAL_BASES,
     DATA_DIR,
     TEMPLATE_KINDS,
@@ -107,8 +109,9 @@ def test_loading_compiles_nothing_and_first_tag_compiles_all(monkeypatch,
     pack = get_pack(code)
     assert patterns == [] and "compiled" not in vars(pack)
     aux = [t for t in pack.clause_templates if t.kind == "aux"]
-    # the rule and signal scanners, each aux template, the modifier
-    every = 2 + len(aux) + 1
+    # each rule and signal pattern and its guard, the position scan of the
+    # rule and of the signal scanner, each aux template, the modifier
+    every = 2 * (len(pack.te_rules) + len(pack.signals)) + 2 + len(aux) + 1
     tag("in 1990?", pack, REF)
     assert "compiled" in vars(pack) and len(patterns) == every
     decompose("Who won after the war in 1990?", pack, REF)
@@ -146,6 +149,20 @@ def test_non_integer_lexicon_value_is_invalid(en_pack):
     (b'relation="AFTER">after</SIGNAL>', b'relation="AFTER">after (</SIGNAL>',
      "signal 'after'"),
     (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;(was", "aux clause template"),
+    # re raises these as ValueError and OverflowError, not re.error
+    (b'relation="AFTER">after</SIGNAL>',
+     b'relation="AFTER">(?a)after</SIGNAL>',
+     "signal 'after': pattern does not compile: ASCII and UNICODE flags are "
+     "incompatible"),
+    (b"<PATTERN>^(?P&lt;subj", b"<PATTERN>(?a)^(?P&lt;subj",
+     "aux clause template: pattern does not compile: ASCII and UNICODE "
+     "flags are incompatible"),
+    (b"<PATTERN>this year</PATTERN>", b"<PATTERN>this year{9999999999}"
+     b"</PATTERN>", "rule 'this-year': pattern does not compile: the "
+     "repetition number is too large"),
+    (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;w{9999999999}as",
+     "aux clause template: pattern does not compile: the repetition number "
+     "is too large"),
 ])
 def test_pattern_that_does_not_compile_is_invalid(en_pack, old, new, named):
     doc = serialize_pack(en_pack)
@@ -160,36 +177,66 @@ _AFTER = b'relation="AFTER">after</SIGNAL>'
 
 
 @pytest.mark.parametrize("old, new, fault", [
-    (_THIS_YEAR, rb"<PATTERN>this (year)\1?</PATTERN>",
-     "rule 'this-year': pattern refers to group 1 by number"),
-    (_THIS_YEAR, b"<PATTERN>(this )?year(?(1)|s)</PATTERN>",
-     "rule 'this-year': pattern refers to group 1 by number"),
-    (_AFTER, rb'relation="AFTER">(af)ter\1?</SIGNAL>',
-     "signal 'after': pattern refers to group 1 by number"),
-    (_AFTER, b'relation="AFTER">(a)?fter(?(1)|x)</SIGNAL>',
-     "signal 'after': pattern refers to group 1 by number"),
-    (_AFTER, rb'relation="AFTER">(af)(t)er\12?</SIGNAL>',
-     "signal 'after': pattern refers to group 12 by number"),
     (_AFTER, b'relation="AFTER">(?x)after</SIGNAL>',
-     "signal 'after': pattern sets global flags (?x)"),
+     "signal 'after': pattern sets global flags; scope them as "
+     "(?flags:...)"),
     (_AFTER, b'relation="AFTER">after)|(?:afterwards</SIGNAL>',
-     "signal 'after': pattern closes a group it does not open"),
+     "signal 'after': pattern does not compile: unbalanced parenthesis at "
+     "position 5"),
+    # wrapped in (?:...) it would compile, as (?:a)|(?:b)
+    (_THIS_YEAR, b"<PATTERN>a)|(?:b</PATTERN>",
+     "rule 'this-year': pattern does not compile: unbalanced parenthesis at "
+     "position 1"),
     # re reads a class's leading ] as a member: this class never closes
     (_AFTER, b'relation="AFTER">after[]x</SIGNAL>',
-     "signal 'after': pattern does not compile: [ is not closed"),
+     "signal 'after': pattern does not compile: unterminated character set "
+     "at position 5"),
     (_AFTER, b'relation="AFTER">after\\</SIGNAL>',
-     "signal 'after': pattern does not compile: \\ is not closed"),
-], ids=["rule-backref", "rule-conditional", "signal-backref",
-        "signal-conditional", "two-digits", "global-flags", "closes-group",
-        "unclosed-class", "trailing-backslash"])
+     "signal 'after': pattern does not compile: bad escape (end of pattern) "
+     "at position 5"),
+], ids=["global-flags", "closes-group", "rule-closes-group", "unclosed-class",
+        "trailing-backslash"])
 def test_pattern_that_cannot_join_a_scanner_is_invalid(en_pack, old, new,
                                                        fault):
-    # the scanner joins all rule or all signal patterns in one regex
+    # the scanner compiles each pattern inside its guard and bounds, where
+    # global flags fail and a parenthesis the pattern does not open would
+    # close one of them
     doc = serialize_pack(en_pack)
     assert doc.count(old) == 1
     pack = load_pack(doc.replace(old, new))
     with pytest.raises(PackInvalid, match=re.escape(fault)):
         pack.compiled
+
+
+@pytest.mark.parametrize("old, new, question, found", [
+    (_THIS_YEAR, rb"<PATTERN>this (year)\1?</PATTERN>",
+     "Who won this yearyear?", "this yearyear"),
+    (_THIS_YEAR, b"<PATTERN>(this )?year(?(1)|s)</PATTERN>",
+     "Who won this year?", "this year"),
+    (_AFTER, rb'relation="AFTER">(af)ter\1?</SIGNAL>',
+     "Who won the race afteraf the war?", "afteraf"),
+    (_AFTER, b'relation="AFTER">(a)?fter(?(1)|x)</SIGNAL>',
+     "Who won the race after the war?", "after"),
+    (_AFTER, rb'relation="AFTER">(a)(f)(t)(e)(r)()()()()()\10</SIGNAL>',
+     "Who won the race after the war?", "after"),
+], ids=["rule-backref", "rule-conditional", "signal-backref",
+        "signal-conditional", "two-digits"])
+def test_pattern_refers_to_its_groups_by_number(capsys, tmp_path, en_pack, old,
+                                               new, question, found):
+    # each pattern compiles alone, so its group numbers are its own
+    doc = serialize_pack(en_pack)
+    assert doc.count(old) == 1
+    (tmp_path / "en.xml").write_bytes(doc.replace(old, new))
+    assert main(["pack-validate", "--lang", "en", "--pack", str(tmp_path)]
+                ) == 0
+    assert capsys.readouterr().err == ""
+    pack = get_pack("en", tmp_path)
+    if old == _THIS_YEAR:
+        tags = tag(question, pack, REF)
+        assert [(t.surface, t.rule, t.value.canonical) for t in tags] == [
+            (found, "this-year", "2008")]
+    else:
+        assert decompose(question, pack, REF).signal.surface == found
 
 
 @pytest.mark.parametrize("pattern, guard", [
@@ -202,11 +249,18 @@ def test_pattern_that_cannot_join_a_scanner_is_invalid(en_pack, old, new,
     (".x", ""), ("[^a]x", ""), (r"(?P<q>a)?(?P=q)b", ""), ("(?-i:a)", ""),
     # tried everywhere: these match the empty string
     ("a?", ""), ("(?:a|)", ""), ("(?=a)", ""),
-    # tried everywhere: no valid pattern
-    ("a(", ""),
 ])
 def test_guard_admits_each_start_or_is_empty(pattern, guard):
     assert _lookahead(_start_items(pattern)) == guard
+
+
+@pytest.mark.parametrize("pattern, error", [
+    ("a(", re.error), ("(?a)a", ValueError), ("a{9999999999}", OverflowError),
+])
+def test_start_items_raises_on_a_pattern_that_does_not_parse(pattern, error):
+    # the scanner reports it as the pattern's own fault
+    with pytest.raises(error):
+        _start_items(pattern)
 
 
 @pytest.mark.parametrize("patterns, union, hits", [
@@ -217,8 +271,21 @@ def test_guard_admits_each_start_or_is_empty(pattern, guard):
 def test_scanner_union_guard_needs_every_pattern_guarded(patterns, union,
                                                          hits):
     scanner = Scanner(patterns, patterns)
-    assert scanner.regex.pattern.startswith(rf"(?<!\w){union}(?:")
+    assert scanner.positions.pattern == rf"(?<!\w){union}(?s:.?)"
     assert [hit[:3] for hit in scanner.matches("ax after 1990")] == hits
+
+
+def test_scanner_keeps_the_patterns_of_a_bounded_number_of_characters():
+    # with an unguarded pattern every character reaches the scan
+    scanner = Scanner(["after", ".x"], ["after", ".x"])
+    text = " ".join(map(chr, range(0x4e00, 0x4e00 + 3 * _MEMO_SIZE))) + " ax"
+    assert [hit[:3] for hit in scanner.matches(text)] == [
+        (len(text) - 2, len(text), 1)]
+    assert len(scanner._tried) == _MEMO_SIZE
+    # a character past the bound is still tried, and its patterns not kept
+    assert [hit[:3] for hit in scanner.matches("\u9fa0x after")] == [
+        (0, 2, 1), (3, 8, 0)]
+    assert "\u9fa0" not in scanner._tried and len(scanner._tried) == _MEMO_SIZE
 
 
 @pytest.mark.parametrize("pattern", [rb"after(?:\\1)?", rb"after[\1]?",
