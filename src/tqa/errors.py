@@ -62,14 +62,19 @@ def iter_xml(source, error: type[TqaError]) -> Iterator[ET.Element]:
     """Each element of an XML document given as bytes, a path or a binary
     file, as its end tag is read, the root last; a document that does not
     parse, or whose declaration names an encoding the parser cannot read
-    (the parser raises LookupError or ValueError for it), raises
-    ``error``.  A caller that clears each element it is done with never
-    holds the whole tree."""
+    (the parser raises LookupError, UnicodeError or a multi-byte ValueError
+    for it), raises ``error``.  A caller that clears each element it is
+    done with never holds the whole tree."""
     stream = io.BytesIO(source) if isinstance(source, bytes) else source
     try:
         for _, element in ET.iterparse(stream):
             yield element
     except (ET.ParseError, LookupError, ValueError) as exc:
+        # any other ValueError, such as a read of a closed stream, is no
+        # fault of the document
+        if (type(exc) is ValueError
+                and not str(exc).startswith("multi-byte encodings")):
+            raise
         where = f"{source}: " if isinstance(source, (str, PathLike)) else ""
         raise error(f"{where}malformed XML: {exc}") from None
 

@@ -179,17 +179,19 @@ def _starts(items: list[str], parsed) -> bool:
 
 def _start_items(pattern: str) -> list[str]:
     """The class items of each character a match of ``pattern`` can start
-    with, and maybe more, read under the pattern's own flags, so that
-    ``[s]`` admits ``ſ`` as the literal ``s`` does; none where the pattern
-    can match the empty string or its start cannot be read.  A pattern
-    that does not parse raises what ``re.compile`` would."""
-    items, parsed = [], _sre_parse.parse(pattern, _FLAGS)
+    with, and maybe more, so that a guard under ``_FLAGS`` admits ``ſ``
+    for ``[s]`` as for ``s``; none where the pattern can match the empty
+    string or its start cannot be read.  A pattern that does not parse
+    raises what ``re.compile`` would; one that sets global flags raises
+    ValueError on every Python: read under ASCII, ``(?u)`` raises it and
+    any other flag but ``(?a)``, which ``_FLAGS`` refuse, sets its bit."""
+    items, parsed = [], _sre_parse.parse(pattern, re.ASCII)
+    if parsed.state.flags & ~re.ASCII:
+        raise ValueError("global flags")
     try:
-        if _starts(items, parsed):
-            return []
+        return [] if _starts(items, parsed) else items
     except LookupError:
         return []
-    return items
 
 
 def _lookahead(items: list[str]) -> str:
@@ -209,22 +211,19 @@ class Scanner:
     (when every pattern has a guard), and tries at the others, in pack
     order, the patterns whose guard admits the position's character, as
     worked out once a character for up to ``_MEMO_SIZE`` characters.  A
-    pattern that does not parse alone, sets global flags, or matches the
+    pattern that does not compile alone, sets global flags, or matches the
     empty string (it would tag or split at a point) raises PackInvalid
-    naming its ``what``."""
+    naming its ``what``, with ``re``'s own message where it has one."""
 
     def __init__(self, patterns: list[str], whats: list[str]):
         starts, regexes = [], []
         for pattern, what in zip(patterns, whats):
-            try:  # parsed alone, so that re's offset is in the pattern
+            try:
                 starts.append(_start_items(pattern))
-            except (re.error, ValueError, OverflowError) as exc:
-                raise PackInvalid(f"{what}: pattern does not compile: {exc}"
-                                  ) from None
-            try:  # what parses alone fails here only on global flags
                 regexes.append(re.compile(
                     rf"{_lookahead(starts[-1])}(?:{pattern})(?!\w)", _FLAGS))
-            except re.error:
+            except (re.error, ValueError, OverflowError):
+                _compile(pattern, what)  # re's own message, if it has one
                 raise PackInvalid(f"{what}: pattern sets global flags; scope "
                                   "them as (?flags:...)") from None
             if regexes[-1].match(""):

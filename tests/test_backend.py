@@ -288,6 +288,13 @@ def test_truncated_fixture_file_is_malformed(tmp_path):
         load_fixtures(document[:cut])
 
 
+def test_closed_fixture_stream_is_no_fault_of_the_file():
+    stream = io.BytesIO(_document(keys=1, rows=1))
+    stream.close()
+    with pytest.raises(ValueError, match="closed file"):
+        load_fixtures(stream)
+
+
 def _one_entry(rows: bytes) -> bytes:
     return (b'<FIXTURES ref="2008-01-01" lang="en"><FQ key="q">' + rows
             + b"</FQ></FIXTURES>")

@@ -163,6 +163,11 @@ def test_non_integer_lexicon_value_is_invalid(en_pack):
     (b"(?P&lt;aux&gt;was", b"(?P&lt;aux&gt;w{9999999999}as",
      "aux clause template: pattern does not compile: the repetition number "
      "is too large"),
+    # parsed, it fails only in re's compile stage
+    (b'relation="AFTER">after</SIGNAL>',
+     b'relation="AFTER">(?&lt;=a|bc)after</SIGNAL>',
+     "signal 'after': pattern does not compile: look-behind requires "
+     "fixed-width pattern"),
 ])
 def test_pattern_that_does_not_compile_is_invalid(en_pack, old, new, named):
     doc = serialize_pack(en_pack)
@@ -180,6 +185,13 @@ _AFTER = b'relation="AFTER">after</SIGNAL>'
     (_AFTER, b'relation="AFTER">(?x)after</SIGNAL>',
      "signal 'after': pattern sets global flags; scope them as "
      "(?flags:...)"),
+    # flags every pack pattern has already are refused all the same
+    (_THIS_YEAR, b"<PATTERN>(?i)this year</PATTERN>",
+     "rule 'this-year': pattern sets global flags; scope them as "
+     "(?flags:...)"),
+    (_THIS_YEAR, b"<PATTERN>(?u)this year</PATTERN>",
+     "rule 'this-year': pattern sets global flags; scope them as "
+     "(?flags:...)"),
     (_AFTER, b'relation="AFTER">after)|(?:afterwards</SIGNAL>',
      "signal 'after': pattern does not compile: unbalanced parenthesis at "
      "position 5"),
@@ -194,13 +206,13 @@ _AFTER = b'relation="AFTER">after</SIGNAL>'
     (_AFTER, b'relation="AFTER">after\\</SIGNAL>',
      "signal 'after': pattern does not compile: bad escape (end of pattern) "
      "at position 5"),
-], ids=["global-flags", "closes-group", "rule-closes-group", "unclosed-class",
-        "trailing-backslash"])
+], ids=["global-flags", "ignorecase-flag", "unicode-flag", "closes-group",
+        "rule-closes-group", "unclosed-class", "trailing-backslash"])
 def test_pattern_that_cannot_join_a_scanner_is_invalid(en_pack, old, new,
                                                        fault):
     # the scanner compiles each pattern inside its guard and bounds, where
-    # global flags fail and a parenthesis the pattern does not open would
-    # close one of them
+    # global flags would not stand at the start and a parenthesis the
+    # pattern does not open would close one of them
     doc = serialize_pack(en_pack)
     assert doc.count(old) == 1
     pack = load_pack(doc.replace(old, new))
@@ -255,7 +267,9 @@ def test_guard_admits_each_start_or_is_empty(pattern, guard):
 
 
 @pytest.mark.parametrize("pattern, error", [
-    ("a(", re.error), ("(?a)a", ValueError), ("a{9999999999}", OverflowError),
+    ("a(", re.error), ("a{9999999999}", OverflowError),
+    # global flags, which a 3.10 parser takes anywhere with only a warning
+    ("(?x)a", ValueError), ("(?u)a", ValueError), ("(?i)a", ValueError),
 ])
 def test_start_items_raises_on_a_pattern_that_does_not_parse(pattern, error):
     # the scanner reports it as the pattern's own fault
