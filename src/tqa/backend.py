@@ -17,7 +17,7 @@ from xml.etree import ElementTree as ET
 
 from .decomposition import DecomposedQuestion, decompose
 from .errors import (Diagnostic, MalformedValue, SchemaViolation, TqaError,
-                     iter_xml, write_xml)
+                     iter_xml, read_day, write_xml)
 from .packs import DATA_DIR, LanguagePack
 from .recomposition import ComplexAnswer, DatedAnswer, recompose
 from .textnorm import normalize_key
@@ -112,7 +112,7 @@ def load_fixtures(source) -> FixtureStore:
     gc.disable()
     try:
         parsed, values = {}, {}
-        for element in iter_xml(source, SchemaViolation):
+        for element in iter_xml(source, "FIXTURES", SchemaViolation):
             if element.tag == "FQ":
                 try:
                     parsed[element] = _parse_entry(element, values)
@@ -120,14 +120,7 @@ def load_fixtures(source) -> FixtureStore:
                     parsed[element] = exc
                 element.clear()
         root = element
-        if root.tag != "FIXTURES":
-            raise SchemaViolation(
-                f"root element {root.tag!r}, expected FIXTURES")
-        ref_text = root.get("ref", "")
-        try:
-            ref = date.fromisoformat(ref_text)
-        except ValueError:
-            raise SchemaViolation(f"bad fixture reference date {ref_text!r}")
+        ref = read_day(root.get("ref", ""), "fixture reference date")
         entries = [parsed[fq] for fq in root.findall("FQ")]
         for entry in entries:
             if isinstance(entry, TqaError):

@@ -27,6 +27,7 @@ from .errors import (
     PackInvalid,
     SchemaViolation,
     TqaError,
+    read_day,
 )
 from .packs import get_pack
 
@@ -43,13 +44,10 @@ def _add_common(parser, ref=True):
                             help="reference date for deictic expressions")
 
 
-def _resolve_ref(args, fallback=None) -> date:
-    if args.ref:
-        try:
-            return date.fromisoformat(args.ref)
-        except ValueError:
-            raise SchemaViolation(f"bad reference date {args.ref!r}")
-    return fallback or DEFAULT_REF
+def _resolve_ref(args, fallback=DEFAULT_REF) -> date:
+    if args.ref is None:
+        return fallback
+    return read_day(args.ref, "reference date")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +124,7 @@ def cmd_decompose(args, pack) -> int:
 def cmd_answer(args, pack) -> int:
     from .backend import (answer_complex_question, check_language,
                           load_fixtures, shipped_fixtures)
-    if args.fixtures:
+    if args.fixtures is not None:
         store = load_fixtures(args.fixtures)
     else:
         store = shipped_fixtures(args.lang)
@@ -146,9 +144,9 @@ def cmd_eval(args, pack) -> int:
     from .backend import load_fixtures
     from .corpus import load_testbed, shipped_testbed
     from .evaluation import render_text, render_xml, run_evaluation
-    testbed = load_testbed(args.testbed) if args.testbed \
-        else shipped_testbed(args.lang)
-    store = load_fixtures(args.fixtures) if args.fixtures else None
+    testbed = (shipped_testbed(args.lang) if args.testbed is None
+               else load_testbed(args.testbed))
+    store = None if args.fixtures is None else load_fixtures(args.fixtures)
     reports = [run_evaluation(testbed, pack, store=store)]
     if args.gold_te:
         reports.append(run_evaluation(testbed, pack, store=store,

@@ -26,7 +26,8 @@ from datetime import date
 from xml.etree import ElementTree as ET
 
 from .decomposition import DecomposedQuestion
-from .errors import MalformedValue, SchemaViolation, read_xml, write_xml
+from .errors import (MalformedValue, SchemaViolation, read_day, read_xml,
+                     write_xml)
 from .packs import DATA_DIR
 from .textnorm import tokenize
 from .time_model import TimeValue
@@ -124,14 +125,8 @@ def _parse_q(el: ET.Element) -> GoldQuestion:
 
 def load_testbed(source) -> Testbed:
     """Parse a testbed document; invariants are enforced per question."""
-    root = read_xml(source, SchemaViolation)
-    if root.tag != "TESTBED":
-        raise SchemaViolation(f"root element {root.tag!r}, expected TESTBED")
-    ref_text = root.get("ref", "")
-    try:
-        ref = date.fromisoformat(ref_text)
-    except ValueError:
-        raise SchemaViolation(f"bad testbed reference date {ref_text!r}")
+    root = read_xml(source, "TESTBED", SchemaViolation)
+    ref = read_day(root.get("ref", ""), "testbed reference date")
     questions = tuple(_parse_q(el) for el in root.findall("Q"))
     return Testbed(language=root.get("lang", "en"), ref=ref,
                    questions=questions)

@@ -224,7 +224,8 @@ def split(question: str, signal: SignalMatch,
 
 def decompose(question: str, pack: LanguagePack, ref: date,
               tes: list[TemporalExpressionTag] | None = None) -> DecomposedQuestion:
-    """Full decomposition pipeline: tag, detect signal, classify, split.
+    """Full decomposition pipeline: tag, detect signal, drop the tags that
+    overlap the signal, classify, split.
 
     ``tes`` overrides the tagger's output (used to inject gold annotations
     during evaluation).  Types 1 and 2 pass through unsplit.  A complex
@@ -236,6 +237,11 @@ def decompose(question: str, pack: LanguagePack, ref: date,
     if tes is None:
         tes = tag(question, pack, ref)
     signal = detect_signal(question, tes, pack)
+    if signal is not None:
+        # a tag inside the signal is its offset's quantity ("1000 years
+        # after"), not a date of the question
+        tes = [t for t in tes
+               if t.end <= signal.begin or signal.end <= t.begin]
     qtype = identify_type(tes, signal)
     diagnostics = []
     q_focus = q_restriction = None

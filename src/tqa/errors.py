@@ -1,10 +1,11 @@
 """Exception types and the diagnostic vocabulary shared across the
-package, the XML reader that turns a malformed document into an
-exception, and the one XML writer."""
+package, the XML reader that refuses a malformed document or a wrong
+root, the one reader of a reference date and the one XML writer."""
 
 import enum
 import io
 from collections.abc import Iterator
+from datetime import date
 from os import PathLike
 from xml.etree import ElementTree as ET
 
@@ -58,13 +59,13 @@ class Diagnostic(str, enum.Enum):
     NO_RESTRICTION_ANSWER = "NO_RESTRICTION_ANSWER"
 
 
-def iter_xml(source, error: type[TqaError]) -> Iterator[ET.Element]:
+def iter_xml(source, root, error: type[TqaError]) -> Iterator[ET.Element]:
     """Each element of an XML document given as bytes, a path or a binary
-    file, as its end tag is read, the root last; a document that does not
-    parse, or whose declaration names an encoding the parser cannot read
-    (the parser raises LookupError, UnicodeError or a multi-byte ValueError
-    for it), raises ``error``.  A caller that clears each element it is
-    done with never holds the whole tree."""
+    file, as its end tag is read, the root last.  A document that does not
+    parse or names an encoding the parser cannot read (LookupError,
+    UnicodeError or a multi-byte ValueError), or whose root is no ``root``
+    element once the stream ends, raises ``error``.  A caller that clears
+    each element it is done with never holds the whole tree."""
     stream = io.BytesIO(source) if isinstance(source, bytes) else source
     try:
         for _, element in ET.iterparse(stream):
@@ -77,13 +78,26 @@ def iter_xml(source, error: type[TqaError]) -> Iterator[ET.Element]:
             raise
         where = f"{source}: " if isinstance(source, (str, PathLike)) else ""
         raise error(f"{where}malformed XML: {exc}") from None
+    if element.tag != root:
+        raise error(f"root element {element.tag!r}, expected {root}")
 
 
-def read_xml(source, error: type[TqaError]) -> ET.Element:
-    """Root element of an XML document, read as ``iter_xml`` reads it."""
-    for root in iter_xml(source, error):
+def read_xml(source, root, error: type[TqaError]) -> ET.Element:
+    """The ``root`` element of a document, read as ``iter_xml`` reads it."""
+    for element in iter_xml(source, root, error):
         pass
-    return root
+    return element
+
+
+def read_day(text: str, what: str) -> date:
+    """The day ``text`` writes as ``date.isoformat`` writes it, YYYY-MM-DD
+    in ASCII digits; any other text raises SchemaViolation naming ``what``."""
+    try:
+        if (day := date.fromisoformat(text)).isoformat() == text:
+            return day
+    except ValueError:
+        pass
+    raise SchemaViolation(f"bad {what} {text!r}")
 
 
 def write_xml(root: ET.Element) -> bytes:

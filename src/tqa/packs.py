@@ -522,9 +522,7 @@ def serialize_pack(pack: LanguagePack) -> bytes:
 def load_pack(source) -> LanguagePack:
     """Load a pack from a path, byte string or file object, checking what
     reading the file needs; ``LanguagePack.compiled`` checks the rest."""
-    root = read_xml(source, PackInvalid)
-    if root.tag != "PACK":
-        raise PackInvalid(f"root element is {root.tag!r}, expected PACK")
+    root = read_xml(source, "PACK", PackInvalid)
     _check_paths([root])
 
     signals = []

@@ -197,6 +197,21 @@ def test_custom_backend_capability(en_pack):
     assert [a.text for a in result.answers] == ["Georgetown University"]
 
 
+def test_offset_quantity_filters_no_answer(en_pack):
+    # "1000" is the offset of "1000 years after", not a date the answers
+    # must overlap
+    store = FixtureStore(entries={
+        "what was built": (DatedAnswer("Tower", 1, TimeValue("1173")),
+                           DatedAnswer("Wall", 2, TimeValue("1000"))),
+        "when was rome founded": (DatedAnswer("0753", 1, TimeValue("0753")),),
+    }, ref=REF)
+    result = answer_complex_question(
+        "What was built 1000 years after Rome was founded?", en_pack, REF,
+        store)
+    assert [a.text for a in result.answers] == ["Tower", "Wall"]
+    assert result.diagnostics == (Diagnostic.OFFSET_SIGNAL_UNSUPPORTED,)
+
+
 def test_bad_fixture_file_reports_schema():
     with pytest.raises(SchemaViolation):
         load_fixtures(b"<WRONG/>")
@@ -379,7 +394,14 @@ _GOOD = _document(keys=3, rows=2)
     (_one_entry(b'<A rank="0">a</A>'), "bad rank '0'"),
     (_GOOD[:len(_GOOD) // 2], "malformed XML"),
     (b'<FIXTURES ref="x"/>', "bad fixture reference date"),
-], ids=["loaded", "entry-fault", "malformed", "root-fault"])
+    (b'<FIXTURES ref=""/>', "^bad fixture reference date ''$"),
+    (b'<FIXTURES ref="20080101"/>', "^bad fixture reference date '20080101'$"),
+    (b'<FIXTURES ref="2008-W01-1"/>',
+     "^bad fixture reference date '2008-W01-1'$"),
+    (b'<FQ ref="x"><A rank="0">a</A></FQ>',
+     "^root element 'FQ', expected FIXTURES$"),
+], ids=["loaded", "entry-fault", "malformed", "root-fault", "empty-ref",
+        "basic-format-ref", "week-date-ref", "wrong-root"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
 def test_fixture_load_pauses_and_restores_the_collector(document, fault,
                                                         enabled):

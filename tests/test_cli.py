@@ -475,8 +475,8 @@ _TESTBED = (b'<TESTBED lang="en" ref="2008-01-01"><Q id="1">'
 
 #: Input files broken at one boundary: (id, file, pattern, replacement,
 #: the fault the error names).  The pattern is replaced once in the
-#: one-question testbed, the shipped English pack or the shipped English
-#: fixtures.
+#: one-question testbed, the shipped English pack, the shipped English
+#: fixtures or a command line written one argument a line.
 _BROKEN_INPUTS = [
     ("bad-q-id", "testbed", rb'id="1"', b'id="one"', "bad Q id 'one'"),
     ("no-question", "testbed", rb"<QUESTION>.*</QUESTION>", b"",
@@ -489,6 +489,17 @@ _BROKEN_INPUTS = [
     ("empty-te", "testbed", rb">1990</TE>", b"></TE>", "Q1: empty TE element"),
     ("bad-ref", "testbed", rb'ref="2008-01-01"', b'ref="2008-13-01"',
      "bad testbed reference date '2008-13-01'"),
+    ("empty-ref", "testbed", rb'ref="2008-01-01"', b'ref=""',
+     "bad testbed reference date ''"),
+    ("basic-format-ref", "testbed", rb'ref="2008-01-01"', b'ref="20080101"',
+     "bad testbed reference date '20080101'"),
+    ("week-date-ref", "testbed", rb'ref="2008-01-01"', b'ref="2008-W01-1"',
+     "bad testbed reference date '2008-W01-1'"),
+    ("root-not-testbed", "testbed", rb"<TESTBED (.*)</TESTBED>",
+     rb"<TB \1</TB>", "root element 'TB', expected TESTBED"),
+    ("root-before-ref", "testbed",
+     rb'<TESTBED (.*)ref="2008-01-01"(.*)</TESTBED>', rb'<TB \1ref="x"\2</TB>',
+     "root element 'TB', expected TESTBED"),
     ("type1-signal", "testbed", rb"<TE .*</TYPE>",
      b"<TYPE>1</TYPE><SIGNAL>when</SIGNAL>",
      "Q1: type 1 takes no signal or split"),
@@ -501,7 +512,7 @@ _BROKEN_INPUTS = [
     ("empty-stopwords", "pack", rb'(?:\s*<ENTRY kind="stopword"[^>]*>)+',
      b"", "stopword list is empty"),
     ("root-not-pack", "pack", rb"<PACK (.*)</PACK>",
-     rb"<LANGPACK \1</LANGPACK>", "root element is 'LANGPACK', expected PACK"),
+     rb"<LANGPACK \1</LANGPACK>", "root element 'LANGPACK', expected PACK"),
     ("old-verbs-section", "pack", rb"</TERULES>",
      b"</TERULES><VERBS><AUX>did do</AUX></VERBS>", "unknown element PACK/VERBS"),
     ("old-whwords-section", "pack", rb"<SIGNALS>",
@@ -547,6 +558,30 @@ _BROKEN_INPUTS = [
      "must be in 1..12"),
     ("empty-answer", "fixtures", rb">Georgetown University<", b">  <",
      "fixture 'where did bill clinton study': answer at rank 1 has no text"),
+    ("fixture-bad-ref", "fixtures", rb'ref="2008-01-01"', b'ref="2008-02-30"',
+     "bad fixture reference date '2008-02-30'"),
+    ("fixture-empty-ref", "fixtures", rb'ref="2008-01-01"', b'ref=""',
+     "bad fixture reference date ''"),
+    ("fixture-basic-format-ref", "fixtures", rb'ref="2008-01-01"',
+     b'ref="20080101"', "bad fixture reference date '20080101'"),
+    ("fixture-week-date-ref", "fixtures", rb'ref="2008-01-01"',
+     b'ref="2008-W01-1"', "bad fixture reference date '2008-W01-1'"),
+    ("root-not-fixtures", "fixtures", rb"<FIXTURES (.*)</FIXTURES>",
+     rb"<FQ \1</FQ>", "root element 'FQ', expected FIXTURES"),
+    ("ref-bad", "answer-command", rb"2008-01-01", b"not-a-date",
+     "bad reference date 'not-a-date'"),
+    ("ref-empty", "answer-command", rb"2008-01-01", b"",
+     "bad reference date ''"),
+    ("ref-basic-format", "answer-command", rb"2008-01-01", b"20080101",
+     "bad reference date '20080101'"),
+    ("ref-week-date", "answer-command", rb"2008-01-01", b"2008-W01-1",
+     "bad reference date '2008-W01-1'"),
+    ("answer-fixtures-empty", "answer-command", rb"--fixtures\n[^\n]*",
+     b"--fixtures\n", "No such file or directory: ''"),
+    ("eval-testbed-empty", "eval-command", rb"--testbed\n[^\n]*",
+     b"--testbed\n", "No such file or directory: ''"),
+    ("eval-fixtures-empty", "eval-command", rb"--fixtures\n[^\n]*",
+     b"--fixtures\n", "No such file or directory: ''"),
     # the parser raises LookupError or ValueError for an encoding it cannot
     # read, not a parse error
     ("unknown-encoding", "fixtures", rb"encoding='utf-8'", b"encoding='utf-x'",
@@ -565,6 +600,14 @@ _BROKEN_INPUTS = [
 
 #: Per file: its name, its unbroken text and the command that reads it.
 _INPUT_FILES = {
+    "answer-command": ("argv.txt", "\n".join([
+        "answer", "--fixtures", str(DATA_DIR / "fixtures_en.xml"), "--ref",
+        "2008-01-01", "Who won 16 years ago?"]).encode(),
+        lambda path: path.read_text(encoding="utf-8").split("\n")),
+    "eval-command": ("argv.txt", "\n".join([
+        "eval", "--testbed", str(DATA_DIR / "testbed_en.xml"), "--fixtures",
+        str(DATA_DIR / "fixtures_en.xml")]).encode(),
+        lambda path: path.read_text(encoding="utf-8").split("\n")),
     "testbed": ("tb.xml", _TESTBED, lambda path: ["eval", "--testbed", str(path)]),
     "pack": ("en.xml", (DATA_DIR / "en.xml").read_bytes(),
              lambda path: ["pack-validate", "--pack", str(path.parent)]),

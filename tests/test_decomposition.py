@@ -113,6 +113,23 @@ def test_offset_modifier_is_whole_hyphenated_words(en_pack, question, signal,
     assert analysis.q_focus == focus
 
 
+@pytest.mark.parametrize("lang,question,qtype,values", [
+    ("en", "What was built 1000 years after Rome was founded?", 4, []),
+    ("es", "¿Qué se construyó 1000 años después de que Roma fuera fundada?",
+     4, []),
+    ("en", "What was built in 1990, 1000 years after Rome was founded?", 3,
+     ["1990"]),
+], ids=["en-offset", "es-offset", "en-date-and-offset"])
+def test_tag_inside_the_signal_is_its_offset(en_pack, es_pack, lang,
+                                             question, qtype, values):
+    pack = {"en": en_pack, "es": es_pack}[lang]
+    assert "1000" in [t.value.canonical for t in tag(question, pack, REF)]
+    analysis = decompose(question, pack, REF)
+    assert analysis.signal.modifier.startswith("1000 ")
+    assert analysis.qtype == qtype
+    assert [t.value.canonical for t in analysis.tes] == values
+
+
 #: Gaps that both ``\s`` and ``str.split`` read as whitespace.
 SPACES = (" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c")
 
