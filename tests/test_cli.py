@@ -598,16 +598,19 @@ _BROKEN_INPUTS = [
      "malformed XML: "),
 ]
 
-#: Per file: its name, its unbroken text and the command that reads it.
+def _argv_lines(path):
+    return path.read_text(encoding="utf-8").split("\n")
+
+
+#: Per file: its name, its unbroken text and the command that reads it; a
+#: command-line file is itself the command.
 _INPUT_FILES = {
     "answer-command": ("argv.txt", "\n".join([
         "answer", "--fixtures", str(DATA_DIR / "fixtures_en.xml"), "--ref",
-        "2008-01-01", "Who won 16 years ago?"]).encode(),
-        lambda path: path.read_text(encoding="utf-8").split("\n")),
+        "2008-01-01", "Who won 16 years ago?"]).encode(), _argv_lines),
     "eval-command": ("argv.txt", "\n".join([
         "eval", "--testbed", str(DATA_DIR / "testbed_en.xml"), "--fixtures",
-        str(DATA_DIR / "fixtures_en.xml")]).encode(),
-        lambda path: path.read_text(encoding="utf-8").split("\n")),
+        str(DATA_DIR / "fixtures_en.xml")]).encode(), _argv_lines),
     "testbed": ("tb.xml", _TESTBED, lambda path: ["eval", "--testbed", str(path)]),
     "pack": ("en.xml", (DATA_DIR / "en.xml").read_bytes(),
              lambda path: ["pack-validate", "--pack", str(path.parent)]),
