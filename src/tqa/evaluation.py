@@ -145,12 +145,11 @@ def _subquestion_matches(system: str, gold: str, pack: LanguagePack,
 def _split_matches(pairs, pack: LanguagePack) -> bool:
     """Whether every (system, gold) sub-question pair matches.  A pair of
     identical strings passes all three criteria, so it is accepted without
-    running them; the equivalence map and skip set are built only when
-    some pair differs."""
+    running them; the skip set is built only when some pair differs."""
     pairs = [(got, want) for got, want in pairs if got != want]
     if not pairs:
         return True
-    canon = {w: a for a, b in pack.equivalences for w in (a, b)}
+    canon = pack.lexicon["equivalent"]
     skip = {word for kind in ("wh", "aux", "clitic", "stopword")
             for word in pack.lexicon[kind]}
     return all(_subquestion_matches(got, want, pack, canon, skip)

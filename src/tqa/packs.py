@@ -2,9 +2,9 @@
 
 A pack carries the signal lexicon (with ordering keys), the ordered temporal
 expression rules, verb suffix rules, clause templates for "When"-question
-synthesis, evaluation equivalences and one LEXICON of word tables
-(interrogatives, verbs, numbers, stopwords, ...).  Packs are data: porting
-the layer to a new language means writing a pack, not code.
+synthesis and one LEXICON of word tables (interrogatives, verbs, numbers,
+stopwords, judging equivalences, ...).  Packs are data: porting the
+layer to a new language means writing a pack, not code.
 
 Packs serialize to a UTF-8 XML file (see docs/pack-format.md).  The two
 built-in packs, English and Spanish, are such files in the package's data
@@ -62,6 +62,17 @@ _KEY = re.compile(r"\w+(?:-\w+)*")
 #: What separates the number words of a spoken number.
 _NUMBER_GAP = re.compile(r"[\s-]+")
 
+
+def _word_fault(word: str) -> str | None:
+    """Why ``word`` is no pack word (a LEXICON key, an ``equivalent``
+    value, a SUFFIX ending), or None."""
+    if not _KEY.fullmatch(word):  # a LEXICON key becomes pattern text
+        return "is not a word or hyphenated words"
+    if word != word.casefold():  # every lookup casefolds its text first
+        return f"is not casefolded ({word.casefold()!r})"
+    return None
+
+
 #: LEXICON kinds in file order: (value reader, test of the read value, the
 #: domain it checks), or None for a kind whose entries carry no value.
 _LEXICON = {
@@ -72,6 +83,8 @@ _LEXICON = {
                "a non-negative multiple of 10"),
     "unit": (str, _UNITS.__contains__, f"one of {', '.join(_UNITS)}"),
     "form": (str, _KEY.fullmatch, "a word or hyphenated words"),
+    "equivalent": (str, lambda w: _word_fault(w) is None,
+                   "a casefolded word or hyphenated words"),
     **dict.fromkeys(("conjunction", "wh", "aux", "clitic", "lemma", "tensed",
                      "gerund", "stopword", "filler", "determiner", "trim")),
 }
@@ -86,7 +99,6 @@ _ELEMENTS = {
     "PACK/SUFFIX": ("from", "to", "checked"),
     "PACK/CLAUSES": (), "PACK/CLAUSES/TEMPLATE": ("kind",),
     "PACK/CLAUSES/TEMPLATE/PATTERN": (), "PACK/CLAUSES/TEMPLATE/OUTPUT": (),
-    "PACK/EQUIV": ("a", "b"),
     "PACK/LEXICON": (), "PACK/LEXICON/ENTRY": ("kind", "key", "value"),
 }
 
@@ -316,7 +328,6 @@ class LanguagePack:
     te_rules: tuple[TagRule, ...]
     verb_suffix_rules: tuple[tuple[str, str, bool], ...]
     clause_templates: tuple[ClauseTemplate, ...]
-    equivalences: tuple[tuple[str, str], ...]
     #: LEXICON kind -> its words, each with its value (None for a kind
     #: that takes none).
     lexicon: dict[str, dict]
@@ -506,9 +517,6 @@ def serialize_pack(pack: LanguagePack) -> bytes:
             ET.SubElement(el, "PATTERN").text = template.pattern
         ET.SubElement(el, "OUTPUT").text = template.output
 
-    for a, b in pack.equivalences:
-        ET.SubElement(root, "EQUIV", a=a, b=b)
-
     lexicon = ET.SubElement(root, "LEXICON")
     for kind in _LEXICON:
         for key, value in sorted(pack.lexicon[kind].items()):
@@ -552,6 +560,10 @@ def load_pack(source) -> LanguagePack:
         # every word ends with '', so the row would rewrite every verb
         if not suffix:
             raise PackInvalid(f"suffix '' (to {to!r}): from is empty")
+        for attr, word in (("from", suffix), ("to", to)):
+            if word and (fault := _word_fault(word)):
+                raise PackInvalid(f"suffix {suffix!r} (to {to!r}): {attr} "
+                                  f"{fault}")
         suffix_rules.append((suffix, to, checked == "1"))
 
     templates = [ClauseTemplate(kind=el.get("kind"),
@@ -564,13 +576,8 @@ def load_pack(source) -> LanguagePack:
         kind, key, value = el.get("kind"), el.get("key"), el.get("value")
         if kind not in _LEXICON:
             raise PackInvalid(f"unknown lexicon kind {kind!r}")
-        if not _KEY.fullmatch(key):
-            raise PackInvalid(f"{kind} {key!r}: key is not a word or "
-                              "hyphenated words")
-        # every lookup casefolds its text first, so it never meets such a key
-        if key != key.casefold():
-            raise PackInvalid(f"{kind} {key!r}: key is not casefolded "
-                              f"({key.casefold()!r})")
+        if fault := _word_fault(key):
+            raise PackInvalid(f"{kind} {key!r}: key {fault}")
         if key in lexicon[kind]:
             raise PackInvalid(f"{kind} {key!r}: key is given twice")
         entry = None
@@ -600,14 +607,14 @@ def load_pack(source) -> LanguagePack:
         te_rules=tuple(te_rules),
         verb_suffix_rules=tuple(suffix_rules),
         clause_templates=tuple(templates),
-        equivalences=tuple((el.get("a"), el.get("b"))
-                           for el in root.findall("EQUIV")),
         lexicon=lexicon,
     )
 
 
 def get_pack(code: str, pack_dir=None) -> LanguagePack:
     """Load <code>.xml from ``pack_dir``, by default from the built-in packs."""
+    if pack_dir == "":  # Path("") would be the working directory
+        raise PackInvalid("pack directory is empty")
     path = Path(DATA_DIR if pack_dir is None else pack_dir) / f"{code}.xml"
     if not path.is_file():
         raise PackInvalid(f"no pack file {path}")

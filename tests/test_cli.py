@@ -523,6 +523,21 @@ _BROKEN_INPUTS = [
     ("empty-suffix-from", "pack", rb"<SUFFIX ",
      b'<SUFFIX from="" to="ed" checked="0" /><SUFFIX ',
      "suffix '' (to 'ed'): from is empty"),
+    # the verb is casefolded first, so "studied" would become "studi"
+    ("suffix-from-not-casefolded", "pack", rb'from="ied"', b'from="IED"',
+     "suffix 'IED' (to 'y'): from is not casefolded ('ied')"),
+    ("suffix-to-not-casefolded", "pack", rb'to="y"', b'to="Y"',
+     "suffix 'ied' (to 'Y'): to is not casefolded ('y')"),
+    ("suffix-from-not-a-word", "pack", rb'from="ed"', b'from="e d"',
+     "suffix 'e d' (to ''): from is not a word or hyphenated words"),
+    ("old-equiv-row", "pack", rb"<LEXICON>",
+     b'<EQUIV a="50s" b="1950s" /><LEXICON>', "unknown element PACK/EQUIV"),
+    ("equivalent-key-not-casefolded", "pack", rb'key="1950s"',
+     b'key="1950S"', "equivalent '1950S': key is not casefolded ('1950s')"),
+    # the judge compares the value with casefolded tokens
+    ("equivalent-value-not-casefolded", "pack", rb'value="50s"',
+     b'value="50S"', "equivalent '1950s': value '50S' is not a casefolded "
+     "word or hyphenated words"),
     ("unknown-lexicon", "pack", rb'kind="conjunction"', b'kind="conj"',
      "unknown lexicon kind 'conj'"),
     ("misspelt-attribute", "pack", rb'from="d" to="" checked',
@@ -582,6 +597,8 @@ _BROKEN_INPUTS = [
      b"--testbed\n", "No such file or directory: ''"),
     ("eval-fixtures-empty", "eval-command", rb"--fixtures\n[^\n]*",
      b"--fixtures\n", "No such file or directory: ''"),
+    ("pack-empty", "tag-command", rb"--pack\n[^\n]*", b"--pack\n",
+     "pack directory is empty"),
     # the parser raises LookupError or ValueError for an encoding it cannot
     # read, not a parse error
     ("unknown-encoding", "fixtures", rb"encoding='utf-8'", b"encoding='utf-x'",
@@ -611,6 +628,9 @@ _INPUT_FILES = {
     "eval-command": ("argv.txt", "\n".join([
         "eval", "--testbed", str(DATA_DIR / "testbed_en.xml"), "--fixtures",
         str(DATA_DIR / "fixtures_en.xml")]).encode(), _argv_lines),
+    "tag-command": ("argv.txt", "\n".join([
+        "tag", "--pack", str(DATA_DIR), "Who won in 1990?"]).encode(),
+        _argv_lines),
     "testbed": ("tb.xml", _TESTBED, lambda path: ["eval", "--testbed", str(path)]),
     "pack": ("en.xml", (DATA_DIR / "en.xml").read_bytes(),
              lambda path: ["pack-validate", "--pack", str(path.parent)]),
@@ -622,8 +642,11 @@ _INPUT_FILES = {
 @pytest.mark.parametrize("kind,old,new,fault",
                          [case[1:] for case in _BROKEN_INPUTS],
                          ids=[case[0] for case in _BROKEN_INPUTS])
-def test_broken_input_is_one_error_line(capsys, tmp_path, kind, old, new,
-                                        fault):
+def test_broken_input_is_one_error_line(capsys, monkeypatch, tmp_path, kind,
+                                        old, new, fault):
+    # run where en.xml lies, so that an empty --pack read as the working
+    # directory would load a pack and pass
+    monkeypatch.chdir(DATA_DIR)
     name, doc, argv = _INPUT_FILES[kind]
     doc, edits = re.subn(old, new, doc, count=1, flags=re.DOTALL)
     assert edits == 1

@@ -19,7 +19,7 @@ from tqa.decomposition import (
     split,
 )
 from tqa.errors import Diagnostic, UnsplittableQuestion
-from tqa.packs import OUTPUT_PIECE
+from tqa.packs import OUTPUT_PIECE, load_pack, serialize_pack
 from tqa.tagger import tag
 from tqa.textnorm import tokenize
 from tqa.time_model import Relation
@@ -256,6 +256,20 @@ def test_signal_inside_expression_is_ignored(en_pack):
     assert [t.value.canonical for t in tes] == ["1939-1945"]
     assert detect_signal(q, tes, en_pack) is None
     assert decompose(q, en_pack, REF).qtype == 2
+
+
+def test_signal_inside_a_rule_surface_is_ignored(en_pack):
+    # a rule whose surface holds the signal word: "after" is then part of
+    # the expression, and the question has no signal
+    doc = serialize_pack(en_pack)
+    old = b"<PATTERN>second millennium year</PATTERN>"
+    assert doc.count(old) == 1
+    pack = load_pack(doc.replace(
+        old, b"<PATTERN>the year after the war</PATTERN>"))
+    q = "Who won the prize the year after the war?"
+    assert decompose(q, en_pack, REF).qtype == 4
+    analysis = decompose(q, pack, REF)
+    assert (analysis.qtype, analysis.signal) == (2, None)
 
 
 def test_signal_introducing_an_expression_is_ignored(en_pack):

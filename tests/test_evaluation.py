@@ -198,6 +198,24 @@ def test_untensed_restriction_verb_fails_split(en_pack):
     assert not judged[Aspect.DECOMP].correct
 
 
+@pytest.mark.parametrize("lang, qid, broken", [
+    ("en", 192, "Did Berliner patent the Gramophone?"),
+    ("es", 110, "¿Se produjo el primer vuelo del Columbia en los años 80?"),
+], ids=["en", "es"])
+def test_restriction_without_its_interrogative_fails_split(lang, qid,
+                                                           broken):
+    """The sub-question must open with the gold's interrogative.  "When"
+    and "cuándo" are stopwords, so the keyword check alone would pass a
+    restriction that lost it."""
+    pack, testbed = PACKS[lang], shipped_testbed(lang)
+    gold = next(q for q in testbed.questions if q.id == qid)
+    system = decompose(gold.question, pack, testbed.ref)
+    assert system.q_restriction == gold.q_rest
+    judged = {j.aspect: j for j in judge_decomposition(
+        dataclasses.replace(system, q_restriction=broken), gold, pack)}
+    assert judged[Aspect.SPLIT].acted and not judged[Aspect.SPLIT].correct
+
+
 def test_dropped_subject_token_fails_split(es_pack):
     """Keyword conservation: dropping 'James' from the restriction fails."""
     gold = GoldQuestion(
@@ -245,11 +263,10 @@ PACKS = {lang: get_pack(lang) for lang in ("en", "es")}
 
 def _judge_words(pack) -> list[str]:
     """Every word the split criteria look up: the lexicon's keys, its
-    ``form`` lemmas and the equivalences' words."""
+    ``form`` lemmas and the words its ``equivalent`` keys are judged as."""
     words = {word for table in pack.lexicon.values() for word in table}
-    words |= set(pack.lexicon["form"].values())
-    return sorted(words | {word for pair in pack.equivalences
-                           for word in pair})
+    return sorted(words | {*pack.lexicon["form"].values(),
+                           *pack.lexicon["equivalent"].values()})
 
 
 WORDS = {lang: _judge_words(pack) for lang, pack in PACKS.items()}
@@ -265,7 +282,7 @@ def test_identical_subquestions_pass_the_split_criteria(lang, data):
     words = data.draw(st.lists(token | token.map(str.capitalize), max_size=10))
     text = (data.draw(st.sampled_from(("", "¿"))) + " ".join(words)
             + data.draw(st.sampled_from(("", "?", " ?"))))
-    canon = {w: a for a, b in pack.equivalences for w in (a, b)}
+    canon = pack.lexicon["equivalent"]
     skip = {word for kind in ("wh", "aux", "clitic", "stopword")
             for word in pack.lexicon[kind]}
     assert _subquestion_matches(text, text, pack, canon, skip)

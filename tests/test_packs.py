@@ -525,9 +525,10 @@ def test_round_trip_randomized(en_pack):
         mutated = dataclasses.replace(
             en_pack,
             signals=tuple(signals) + (extra,),
-            equivalences=en_pack.equivalences + (("x", f"y{rng.random()}"),),
             lexicon={**en_pack.lexicon, "stopword": {
-                **en_pack.lexicon["stopword"], f"w{rng.randrange(999)}": None}},
+                **en_pack.lexicon["stopword"], f"w{rng.randrange(999)}": None},
+                "equivalent": {**en_pack.lexicon["equivalent"],
+                               "x": f"y{rng.randrange(999)}"}},
         )
         assert load_pack(serialize_pack(mutated)) == mutated
 
