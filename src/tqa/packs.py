@@ -65,7 +65,7 @@ _NUMBER_GAP = re.compile(r"[\s-]+")
 
 def _word_fault(word: str) -> str | None:
     """Why ``word`` is no pack word (a LEXICON key, an ``equivalent``
-    value, a SUFFIX ending), or None."""
+    value, a SUFFIX ``from`` or ``to``), or None."""
     if not _KEY.fullmatch(word):  # a LEXICON key becomes pattern text
         return "is not a word or hyphenated words"
     if word != word.casefold():  # every lookup casefolds its text first
